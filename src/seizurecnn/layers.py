@@ -1,14 +1,28 @@
 """Differentiable layer primitives with exact backward passes.
 
 Data layout is ``(batch, feature_maps, *spatial)`` for the convolutional
-trunk and ``(batch, features)`` after flattening.  Each layer caches what
-its most recent forward pass needs and ``backward`` consumes that cache,
+trunk and ``(batch, features)`` after flattening.  A TRAIN-mode forward
+caches what the backward pass needs and ``backward`` consumes that cache,
 returning the gradient with respect to the layer input; parameter
-gradients are kept on the layer and collected through ``grads``.
+gradients are kept on the layer and collected through ``grads``.  What
+TRAIN caches:
+
+  Conv       the zero-padded input
+  BatchNorm  the normalized input, per-map inverse std and input shape
+  MaxPool    the argmax of every window
+  Dropout    the keep mask
+  Flatten    the input shape
+  Dense      the input
+  ReLU       the positive mask
+  Sigmoid    the output
+
+An INFER-mode forward caches nothing and drops what an earlier TRAIN
+forward left, so ``backward`` after it raises RuntimeError.
 
 Convolution is cross-correlation with zero "same" padding: output spatial
 shape equals input spatial shape for every kernel extent, and kernels of
-even extent are anchored with the extra tap toward larger index.  Max
+even extent are anchored with the extra tap toward larger index.  It runs
+as one im2col GEMM whose columns are ordered ``(map, *tap)``.  Max
 pooling is non-overlapping with first-occurrence tie-breaking.  All of it
 is deterministic given the inputs and the dropout stream.
 """
@@ -27,6 +41,12 @@ MAX_KERNEL_EXTENT = 5
 
 def _as_tuple(value) -> tuple[int, ...]:
     return tuple(int(v) for v in np.atleast_1d(value))
+
+
+def _rowdot(a: Tensor, b: Tensor) -> Tensor:
+    """Dot products over the last axis, one BLAS dot each; in float32 more
+    accurate than a plain einsum reduction."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 class Layer:
@@ -67,7 +87,7 @@ class Layer:
 
     def _check_upstream(self, upstream: Tensor, expected_shape) -> None:
         if expected_shape is None:
-            raise RuntimeError(f"{self.name}: backward called without a recorded forward")
+            raise RuntimeError(f"{self.name}: backward requires a recorded train-mode forward")
         if tuple(upstream.shape) != tuple(expected_shape):
             raise ValueError(
                 f"{self.name}: upstream shape {upstream.shape} does not match "
@@ -80,6 +100,14 @@ class Conv(Layer):
 
     out[b, f, x] = bias[f] + sum_g sum_d kernel[f, g, d] * input[b, g, x + d - offset]
     with zero padding; offset = (extent - 1) // 2 per axis.
+
+    The input is padded once and gathered into an im2col column array of
+    shape (batch, maps_in * taps, prod(spatial)) whose rows run in
+    (map, *tap) order, taps in ``np.ndindex(*extents)`` order: the row
+    order of ``kernel.reshape(maps_out, -1)``.  Forward and both backward
+    products are then one batched GEMM each.  TRAIN caches the padded
+    input only; backward rebuilds the columns from it, because they are
+    ``taps`` times the size of the input.
     """
 
     regularized = ("kernel",)
@@ -93,9 +121,9 @@ class Conv(Layer):
         self.maps_in = int(maps_in)
         self.maps_out = int(maps_out)
         self.extents = extents
-        taps = int(np.prod(extents))
+        self._taps = int(np.prod(extents))
         self.kernel = glorot_uniform((maps_out, maps_in) + extents,
-                                     maps_in * taps, maps_out * taps, rng, dtype)
+                                     maps_in * self._taps, maps_out * self._taps, rng, dtype)
         self.bias = np.zeros(maps_out, dtype=dtype)
         self._pads = tuple(((e - 1) // 2, e // 2) for e in extents)
         self._padded: Tensor | None = None
@@ -109,6 +137,18 @@ class Conv(Layer):
     def grads(self) -> dict[str, Tensor]:
         return {"kernel": self.g_kernel, "bias": self.g_bias}
 
+    def _windows(self, spatial):
+        """The slice of the padded input each tap reads, in np.ndindex order."""
+        for offs in np.ndindex(*self.extents):
+            yield (slice(None), slice(None)) + tuple(
+                slice(o, o + s) for o, s in zip(offs, spatial))
+
+    def _columns(self, padded: Tensor, spatial) -> Tensor:
+        cols = np.empty((padded.shape[0], self.maps_in, self._taps) + spatial, dtype=padded.dtype)
+        for t, window in enumerate(self._windows(spatial)):
+            cols[:, :, t] = padded[window]
+        return cols.reshape(padded.shape[0], self.maps_in * self._taps, -1)
+
     def forward(self, x: Tensor, mode: str = TRAIN, rng: RngStream | None = None) -> Tensor:
         rank = len(self.extents)
         if x.ndim != 2 + rank:
@@ -117,37 +157,28 @@ class Conv(Layer):
             raise ValueError(f"{self.name}: expected {self.maps_in} input maps, got {x.shape[1]}")
         spatial = x.shape[2:]
         padded = np.pad(x, ((0, 0), (0, 0)) + self._pads)
-        # Accumulate in (batch, *spatial, maps_out) so each tap is one BLAS call.
-        acc = np.zeros(x.shape[:1] + spatial + (self.maps_out,), dtype=x.dtype)
-        for offs in np.ndindex(*self.extents):
-            window = tuple(slice(o, o + s) for o, s in zip(offs, spatial))
-            tap = self.kernel[(slice(None), slice(None)) + offs]
-            acc += np.tensordot(padded[(slice(None), slice(None)) + window], tap,
-                                axes=([1], [1]))
-        acc += self.bias
-        out = np.ascontiguousarray(np.moveaxis(acc, -1, 1))
-        self._padded = padded
-        self._out_shape = out.shape
+        out = np.matmul(self.kernel.reshape(self.maps_out, -1), self._columns(padded, spatial))
+        out += self.bias[:, None]
+        out = out.reshape((x.shape[0], self.maps_out) + spatial)
+        train = mode == TRAIN
+        self._padded = padded if train else None
+        self._out_shape = out.shape if train else None
         return out
 
     def backward(self, upstream: Tensor) -> Tensor:
         self._check_upstream(upstream, self._out_shape)
-        padded = self._padded
         spatial = self._out_shape[2:]
-        up = np.moveaxis(upstream, 1, -1)  # (batch, *spatial, maps_out)
-        sum_axes = tuple(range(up.ndim - 1))
-        self.g_bias = np.ascontiguousarray(up.sum(axis=sum_axes))
-        d_padded = np.zeros_like(padded)
-        up_axes = (0,) + tuple(range(1, 1 + len(spatial)))
-        in_axes = (0,) + tuple(range(2, 2 + len(spatial)))
-        for offs in np.ndindex(*self.extents):
-            window = tuple(slice(o, o + s) for o, s in zip(offs, spatial))
-            x_slice = padded[(slice(None), slice(None)) + window]
-            self.g_kernel[(slice(None), slice(None)) + offs] = np.tensordot(
-                up, x_slice, axes=(up_axes, in_axes))
-            tap = self.kernel[(slice(None), slice(None)) + offs]
-            contrib = np.tensordot(up, tap, axes=([up.ndim - 1], [0]))
-            d_padded[(slice(None), slice(None)) + window] += np.moveaxis(contrib, -1, 1)
+        up = upstream.reshape(upstream.shape[0], self.maps_out, -1)
+        self.g_bias = up.sum(axis=2).sum(axis=0)
+        cols = self._columns(self._padded, spatial)
+        self.g_kernel = np.matmul(up, cols.transpose(0, 2, 1)).sum(axis=0).reshape(
+            self.kernel.shape)
+        del cols
+        d_cols = np.matmul(self.kernel.reshape(self.maps_out, -1).T, up).reshape(
+            (up.shape[0], self.maps_in, self._taps) + spatial)
+        d_padded = np.zeros_like(self._padded)
+        for t, window in enumerate(self._windows(spatial)):
+            d_padded[window] += d_cols[:, :, t]
         crop = (slice(None), slice(None)) + tuple(
             slice(lo, d_padded.shape[2 + i] - hi) for i, (lo, hi) in enumerate(self._pads))
         return np.ascontiguousarray(d_padded[crop])
@@ -173,6 +204,17 @@ class MaxPool(Layer):
         for s, w in zip(spatial, self.window):
             if s % w != 0:
                 raise ValueError(f"{self.name}: spatial extent {s} not divisible by window {w}")
+        if mode != TRAIN:
+            # running maximum over one strided view per window offset; a
+            # max over the window axis of the tiles below is several times
+            # slower, and inference needs no argmax
+            self._argmax = self._in_shape = self._out_shape = None
+            out = None
+            for offs in np.ndindex(*self.window):
+                view = x[(slice(None), slice(None)) + tuple(
+                    slice(o, None, w) for o, w in zip(offs, self.window))]
+                out = view.copy() if out is None else np.maximum(out, view, out=out)
+            return out
         outs = tuple(s // w for s, w in zip(spatial, self.window))
         inter: list[int] = []
         for o, w in zip(outs, self.window):
@@ -189,7 +231,6 @@ class MaxPool(Layer):
 
     def backward(self, upstream: Tensor) -> Tensor:
         self._check_upstream(upstream, self._out_shape)
-        outs = self._out_shape[2:]
         flat = np.zeros(self._out_shape + (int(np.prod(self.window)),), dtype=upstream.dtype)
         np.put_along_axis(flat, self._argmax[..., None], upstream[..., None], axis=-1)
         tiles = flat.reshape(self._out_shape + self.window)
@@ -201,8 +242,11 @@ class BatchNorm(Layer):
 
     Train mode normalizes with batch statistics (batch size >= 2) and
     updates running stats as running <- (1 - momentum)*running + momentum*batch.
-    Inference normalizes with running statistics only, so batch-size-1
-    inference is valid.
+    It takes two passes over the input, one for the mean and one for the
+    variance of the centred copy, which is then scaled in place into the
+    cached normalized input ``xhat``.  Inference folds the running
+    statistics into a per-map scale and shift, so batch-size-1 inference
+    is valid.
     """
 
     def __init__(self, maps: int, momentum: float = 0.1, epsilon: float = 1e-5,
@@ -229,47 +273,50 @@ class BatchNorm(Layer):
         return {"gamma": self.gamma, "beta": self.beta,
                 "running_mean": self.running_mean, "running_var": self.running_var}
 
-    def _broadcast(self, v: Tensor, ndim: int) -> Tensor:
-        return v.reshape((1, self.maps) + (1,) * (ndim - 2))
+    def _inv_std(self, var: Tensor, dtype) -> Tensor:
+        return (1.0 / np.sqrt(var + np.asarray(self.epsilon, dtype=dtype))).astype(dtype)
 
     def forward(self, x: Tensor, mode: str = TRAIN, rng: RngStream | None = None) -> Tensor:
         if x.ndim < 2 or x.shape[1] != self.maps:
             raise ValueError(f"{self.name}: expected {self.maps} feature maps, got shape {x.shape}")
-        axes = (0,) + tuple(range(2, x.ndim))
-        if mode == TRAIN:
-            if x.shape[0] < 2:
-                raise ValueError(f"{self.name}: train mode needs batch size >= 2")
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
-            self.running_mean[...] = (1.0 - self.momentum) * self.running_mean + self.momentum * mean
-            self.running_var[...] = (1.0 - self.momentum) * self.running_var + self.momentum * var
-        else:
-            mean = self.running_mean
-            var = self.running_var
-        inv_std = 1.0 / np.sqrt(var + np.asarray(self.epsilon, dtype=x.dtype))
-        xhat = (x - self._broadcast(mean.astype(x.dtype), x.ndim)) * \
-            self._broadcast(inv_std.astype(x.dtype), x.ndim)
-        out = self._broadcast(self.gamma, x.ndim) * xhat + self._broadcast(self.beta, x.ndim)
-        if mode == TRAIN:
-            count = x.size // self.maps
-            self._cache = (xhat, inv_std.astype(x.dtype), count)
-        else:
+        x3 = x.reshape(x.shape[0], self.maps, -1)
+        if mode != TRAIN:
             self._cache = None
-        return out
+            scale = self.gamma * self._inv_std(self.running_var, x.dtype)
+            shift = self.beta - self.running_mean * scale
+            out = x3 * scale.astype(x.dtype)[:, None]
+            out += shift.astype(x.dtype)[:, None]
+            return out.reshape(x.shape)
+        if x.shape[0] < 2:
+            raise ValueError(f"{self.name}: train mode needs batch size >= 2")
+        count = x3.shape[0] * x3.shape[2]
+        mean = x3.sum(axis=2).sum(axis=0) / count
+        xhat = x3 - mean[:, None]
+        var = _rowdot(xhat, xhat).sum(axis=0) / count
+        self.running_mean[...] = (1.0 - self.momentum) * self.running_mean + self.momentum * mean
+        self.running_var[...] = (1.0 - self.momentum) * self.running_var + self.momentum * var
+        inv_std = self._inv_std(var, x.dtype)
+        xhat *= inv_std[:, None]
+        out = xhat * self.gamma[:, None]
+        out += self.beta[:, None]
+        self._cache = (xhat, inv_std, x.shape)
+        return out.reshape(x.shape)
 
     def backward(self, upstream: Tensor) -> Tensor:
         if self._cache is None:
             raise RuntimeError(f"{self.name}: backward requires a recorded train-mode forward")
-        xhat, inv_std, count = self._cache
-        self._check_upstream(upstream, xhat.shape)
-        axes = (0,) + tuple(range(2, xhat.ndim))
-        self.g_gamma = (upstream * xhat).sum(axis=axes)
-        self.g_beta = upstream.sum(axis=axes)
-        d_xhat = upstream * self._broadcast(self.gamma, xhat.ndim)
-        sum_d = d_xhat.sum(axis=axes, keepdims=True)
-        sum_dx = (d_xhat * xhat).sum(axis=axes, keepdims=True)
-        return self._broadcast(inv_std, xhat.ndim) / count * (
-            count * d_xhat - sum_d - xhat * sum_dx)
+        xhat, inv_std, in_shape = self._cache
+        self._check_upstream(upstream, in_shape)
+        up = upstream.reshape(xhat.shape)
+        count = xhat.shape[0] * xhat.shape[2]
+        self.g_gamma = _rowdot(up, xhat).sum(axis=0)
+        self.g_beta = up.sum(axis=2).sum(axis=0)
+        # dx = gamma * inv_std * (up - g_beta / count - xhat * g_gamma / count)
+        dx = xhat * (-self.g_gamma / count)[:, None]
+        dx += up
+        dx -= (self.g_beta / count)[:, None]
+        dx *= (self.gamma * inv_std)[:, None]
+        return dx.reshape(upstream.shape)
 
 
 class Dropout(Layer):
@@ -284,9 +331,12 @@ class Dropout(Layer):
         self._out_shape = None
 
     def forward(self, x: Tensor, mode: str = TRAIN, rng: RngStream | None = None) -> Tensor:
+        self._mask = None
+        if mode != TRAIN:
+            self._out_shape = None
+            return x
         self._out_shape = x.shape
-        if mode != TRAIN or self.rate == 0.0:
-            self._mask = None
+        if self.rate == 0.0:
             return x
         if rng is None:
             raise ValueError(f"{self.name}: train mode needs an RNG stream")
@@ -310,12 +360,12 @@ class Flatten(Layer):
         self._in_shape = None
 
     def forward(self, x: Tensor, mode: str = TRAIN, rng: RngStream | None = None) -> Tensor:
-        self._in_shape = x.shape
+        self._in_shape = x.shape if mode == TRAIN else None
         return x.reshape(x.shape[0], -1)
 
     def backward(self, upstream: Tensor) -> Tensor:
         if self._in_shape is None:
-            raise RuntimeError(f"{self.name}: backward called without a recorded forward")
+            raise RuntimeError(f"{self.name}: backward requires a recorded train-mode forward")
         return upstream.reshape(self._in_shape)
 
 
@@ -344,13 +394,12 @@ class Dense(Layer):
     def forward(self, x: Tensor, mode: str = TRAIN, rng: RngStream | None = None) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.n_in:
             raise ValueError(f"{self.name}: expected (batch, {self.n_in}) input, got {x.shape}")
-        self._input = x
+        self._input = x if mode == TRAIN else None
         return x @ self.weights.T + self.bias
 
     def backward(self, upstream: Tensor) -> Tensor:
-        if self._input is None:
-            raise RuntimeError(f"{self.name}: backward called without a recorded forward")
-        self._check_upstream(upstream, (self._input.shape[0], self.n_out))
+        self._check_upstream(upstream, None if self._input is None
+                             else (self._input.shape[0], self.n_out))
         self.g_weights = upstream.T @ self._input
         self.g_bias = upstream.sum(axis=0)
         return upstream @ self.weights
@@ -363,8 +412,9 @@ class ReLU(Layer):
         self._out_shape = None
 
     def forward(self, x: Tensor, mode: str = TRAIN, rng: RngStream | None = None) -> Tensor:
-        self._mask = x > 0
-        self._out_shape = x.shape
+        train = mode == TRAIN
+        self._mask = x > 0 if train else None
+        self._out_shape = x.shape if train else None
         return np.maximum(x, x.dtype.type(0))
 
     def backward(self, upstream: Tensor) -> Tensor:
@@ -383,13 +433,11 @@ class Sigmoid(Layer):
         out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
         ex = np.exp(x[~pos])
         out[~pos] = ex / (1.0 + ex)
-        self._out = out
+        self._out = out if mode == TRAIN else None
         return out
 
     def backward(self, upstream: Tensor) -> Tensor:
-        if self._out is None:
-            raise RuntimeError(f"{self.name}: backward called without a recorded forward")
-        self._check_upstream(upstream, self._out.shape)
+        self._check_upstream(upstream, None if self._out is None else self._out.shape)
         return upstream * self._out * (1.0 - self._out)
 
 

@@ -157,8 +157,7 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, Tensor],
 
 def batch_loss_and_grads(network: Network, x: Tensor, y: Tensor,
                          w_pos: float, w_neg: float, l1: float, l2: float,
-                         rng: RngStream | None, mode: str = TRAIN
-                         ) -> tuple[float, dict[str, Tensor]]:
+                         rng: RngStream | None) -> tuple[float, dict[str, Tensor]]:
     """Forward, loss, and a full backward pass over one batch.
 
     ``x`` is already arranged on the topology grid. The data term is the
@@ -166,7 +165,7 @@ def batch_loss_and_grads(network: Network, x: Tensor, y: Tensor,
     weight); the penalty term and its gradient cover the regularized
     weights. Returns the scalar batch loss and per-parameter gradients.
     """
-    probs = network.forward(x, mode, rng)
+    probs = network.forward(x, TRAIN, rng)
     p = probs[:, 0]
     y = np.asarray(y)
     w = np.where(y == 1, p.dtype.type(w_pos), p.dtype.type(w_neg))
@@ -232,6 +231,10 @@ def fit(network: Network, train, cfg: TrainConfig, rng: RngStream,
     each epoch and its float return is logged as that epoch's test AUC
     (reporting only, it influences nothing).
 
+    A non-finite batch loss or gradient raises TrainingDivergedError before
+    that batch updates any parameter, so diverged parameters are never
+    returned.
+
     Returns the final network state and the run history.
     """
     labels = np.asarray(train.labels)
@@ -262,10 +265,12 @@ def fit(network: Network, train, cfg: TrainConfig, rng: RngStream,
                 break  # batch norm cannot train on a single segment
             loss, grads = batch_loss_and_grads(
                 network, x[idx], labels[idx], w_pos, w_neg, cfg.l1, cfg.l2, dropout_rng)
+            where = f"at epoch {epoch}, batch {len(batch_losses) + 1}"
             if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"non-finite loss {loss} at epoch {epoch}, "
-                    f"batch {len(batch_losses) + 1}")
+                raise TrainingDivergedError(f"non-finite loss {loss} {where}")
+            for name, grad in grads.items():
+                if not np.isfinite(grad).all():
+                    raise TrainingDivergedError(f"non-finite gradient for {name} {where}")
             adam_step(network.params(), grads, adam, cfg)
             batch_losses.append(loss)
         mean_losses.append(float(np.mean(batch_losses)))

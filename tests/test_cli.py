@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seizurecnn import cli
+from seizurecnn import cli, training
 from seizurecnn.data import Manifest, load_clip
 from seizurecnn.evaluation import EvaluationReport
 from seizurecnn.topologies import ElectrodeLayout
@@ -65,6 +65,25 @@ class TestTrain:
         run = json.loads((run_dir / "run.json").read_text())
         layout = ElectrodeLayout.load(dataset_dir / "layouts" / "synth01.json")
         assert run["layout_sha256"] == layout.content_hash()
+
+    def test_non_finite_gradient_writes_no_run(self, dataset_dir, tmp_path,
+                                                monkeypatch, capsys):
+        # one epoch over 16 segments is a single batch, so the poisoned
+        # gradient belongs to the last update and no later loss can expose it
+        original = training.batch_loss_and_grads
+
+        def poisoned(*args, **kwargs):
+            loss, grads = original(*args, **kwargs)
+            grads["dense2.bias"] = np.full_like(grads["dense2.bias"], np.nan)
+            return loss, grads
+
+        monkeypatch.setattr(training, "batch_loss_and_grads", poisoned)
+        code = cli.main(["train", "--manifest", str(dataset_dir / "manifest.json"),
+                         "--subject", "synth01", "--epochs", "1", "--seed", "0",
+                         "--out", str(tmp_path)])
+        assert code == 1
+        assert "non-finite gradient for dense2.bias" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_subject(self, dataset_dir, tmp_path):
         code = cli.main(["train", "--manifest", str(dataset_dir / "manifest.json"),

@@ -133,6 +133,11 @@ class TestMaxPool:
         grad = pool.backward(np.ones_like(out))
         assert int((grad != 0).sum()) == out.size
 
+    def test_infer_matches_train(self):
+        x = seeded_rng(4).normal(size=(2, 3, 4, 2, 10))
+        pool = MaxPool((2, 1, 5))
+        assert np.array_equal(pool.forward(x, INFER), pool.forward(x, TRAIN))
+
     def test_two_axis_pooling(self):
         x = np.arange(16.0).reshape(1, 1, 4, 4)
         out = MaxPool((2, 2)).forward(x)
@@ -285,6 +290,26 @@ class TestDenseAndActivations:
         for layer in (Dense(2, 2, seeded_rng(0)), ReLU(), Sigmoid(), Flatten()):
             with pytest.raises(RuntimeError):
                 layer.backward(np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize("make, shape", [
+    pytest.param(lambda: make_conv(1, 2, (3,)), (2, 1, 6), id="conv"),
+    pytest.param(lambda: MaxPool((2,)), (2, 1, 6), id="maxpool"),
+    pytest.param(lambda: BatchNorm(1, dtype=np.float64), (2, 1, 6), id="batchnorm"),
+    pytest.param(lambda: Dropout(0.5), (2, 6), id="dropout"),
+    pytest.param(lambda: Flatten(), (2, 1, 6), id="flatten"),
+    pytest.param(lambda: Dense(6, 3, seeded_rng(0), dtype=np.float64), (2, 6), id="dense"),
+    pytest.param(lambda: ReLU(), (2, 6), id="relu"),
+    pytest.param(lambda: Sigmoid(), (2, 6), id="sigmoid"),
+])
+def test_backward_after_infer_forward_raises(make, shape):
+    # an INFER forward drops the cache an earlier TRAIN forward left behind
+    layer = make()
+    x = seeded_rng(0).normal(size=shape)
+    layer.forward(x, TRAIN, seeded_rng(1))
+    out = layer.forward(x, INFER)
+    with pytest.raises(RuntimeError, match="train-mode forward"):
+        layer.backward(np.ones_like(out))
 
 
 class TestNetwork:
