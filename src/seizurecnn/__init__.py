@@ -17,7 +17,7 @@ from .evaluation import (EvaluationReport, RunAggregate, aggregate_clip,
                          aggregate_runs, evaluate_subject, roc_auc, roc_curve)
 from .tensor import RngStream, glorot_uniform, seeded_rng
 from .topologies import (TOPOLOGIES, ElectrodeLayout, ModelSpec, build_topology,
-                         reshape_batch, reshape_segment)
+                         reshape_batch)
 from .training import (RunHistory, TrainConfig, adam_step, class_weights, fit,
                        weighted_bce)
 
@@ -31,7 +31,7 @@ __all__ = [
     "evaluate_subject", "roc_auc", "roc_curve",
     "RngStream", "glorot_uniform", "seeded_rng",
     "TOPOLOGIES", "ElectrodeLayout", "ModelSpec", "build_topology",
-    "reshape_batch", "reshape_segment",
+    "reshape_batch",
     "RunHistory", "TrainConfig", "adam_step", "class_weights", "fit",
     "weighted_bce",
     "__version__",

@@ -185,9 +185,11 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_trained(run_dir: Path, manifest: Manifest):
-    """Rebuild the network of a run directory with its stored parameters."""
+def _load_trained(run_dir: Path, manifest_path: str | None):
+    """Rebuild the network of a run directory with its stored parameters,
+    against ``manifest_path`` or else the data manifest run.json records."""
     run = RunManifest.load(run_dir / RUN_FILE)
+    manifest = Manifest.load(manifest_path or run.data_manifest)
     layout = manifest.layout_for(run.subject)
     stored = layout.content_hash() if layout is not None else None
     if stored != run.layout_sha256:
@@ -201,16 +203,12 @@ def _load_trained(run_dir: Path, manifest: Manifest):
         raise DataError(f"{run_dir} has no {PARAMS_FILE}") from exc
     except (zipfile.BadZipFile, ValueError, KeyError) as exc:
         raise DataError(f"{run_dir}/{PARAMS_FILE} is corrupt: {exc}") from exc
-    return run, layout, network
+    return run, manifest, layout, network
 
 
 def cmd_evaluate(args) -> int:
     run_dir = Path(args.run)
-    manifest_path = args.manifest
-    if manifest_path is None:
-        manifest_path = RunManifest.load(run_dir / RUN_FILE).data_manifest
-    manifest = Manifest.load(manifest_path)
-    run, layout, network = _load_trained(run_dir, manifest)
+    run, manifest, layout, network = _load_trained(run_dir, args.manifest)
     report = evaluate_subject(network, run.topology, manifest, run.subject,
                               split=args.split, layout=layout, seed=run.seed,
                               decimation=run.decimation)
@@ -222,12 +220,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    run_dir = Path(args.run)
-    manifest_path = args.manifest
-    if manifest_path is None:
-        manifest_path = RunManifest.load(run_dir / RUN_FILE).data_manifest
-    manifest = Manifest.load(manifest_path)
-    run, layout, network = _load_trained(run_dir, manifest)
+    run, _, layout, network = _load_trained(Path(args.run), args.manifest)
     clip = load_clip(args.clip)
     segs = preprocess_clip(clip, decimation=run.decimation)
     probs = predict_segments(network, run.topology, segs, layout)

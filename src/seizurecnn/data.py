@@ -185,20 +185,6 @@ class SegmentBatch:
     def __len__(self) -> int:
         return self.segments.shape[0]
 
-    @classmethod
-    def concat(cls, batches: list["SegmentBatch"]) -> "SegmentBatch":
-        """Join batches, renumbering clip ids to stay unique across inputs."""
-        if not batches:
-            raise DataError("cannot concatenate zero segment batches")
-        ids = []
-        offset = 0
-        for b in batches:
-            ids.append(b.clip_ids + offset)
-            offset += int(b.clip_ids.max()) + 1 if len(b) else 0
-        return cls(np.concatenate([b.segments for b in batches]),
-                   np.concatenate([b.labels for b in batches]),
-                   np.concatenate(ids))
-
 
 def segment(clip: Clip, clip_id: int = 0) -> SegmentBatch:
     """Cut a clip into consecutive non-overlapping 3000-sample segments.

@@ -4,13 +4,16 @@ Data layout is ``(batch, feature_maps, *spatial)`` for the convolutional
 trunk and ``(batch, features)`` after flattening.  A TRAIN-mode forward
 caches what the backward pass needs and ``backward`` consumes that cache,
 returning the gradient with respect to the layer input; parameter
-gradients are kept on the layer and collected through ``grads``.  What
-TRAIN caches:
+gradients are kept on the layer and collected through ``grads``.
+
+Every layer keeps its TRAIN cache in one attribute, ``_cache``: the
+forward output shape, against which ``backward`` checks its upstream
+gradient, and what the layer's backward reads:
 
   Conv       the zero-padded input
-  BatchNorm  the normalized input, per-map inverse std and input shape
-  MaxPool    the argmax of every window
-  Dropout    the keep mask
+  BatchNorm  the normalized input and per-map inverse std
+  MaxPool    the argmax of every window, the input shape and tile order
+  Dropout    the keep mask (None at rate 0)
   Flatten    the input shape
   Dense      the input
   ReLU       the positive mask
@@ -18,6 +21,11 @@ TRAIN caches:
 
 An INFER-mode forward caches nothing and drops what an earlier TRAIN
 forward left, so ``backward`` after it raises RuntimeError.
+
+A layer names its persistent arrays once, in ``param_keys`` (learned,
+with the gradient of ``key`` in ``g_<key>``) and ``buffer_keys`` (kept
+but not learned); ``params``, ``grads``, ``state`` and ``set_state``
+derive from those names.
 
 Convolution is cross-correlation with zero "same" padding: output spatial
 shape equals input spatial shape for every kernel extent, and kernels of
@@ -50,13 +58,18 @@ def _rowdot(a: Tensor, b: Tensor) -> Tensor:
 
 
 class Layer:
-    """Base class: a named primitive with parameters and a forward cache."""
+    """Base class: a named primitive with named arrays and one TRAIN cache."""
 
+    #: learned arrays; the gradient of each is held in ``g_<key>``
+    param_keys: tuple[str, ...] = ()
+    #: arrays that persist with the parameters but are not learned
+    buffer_keys: tuple[str, ...] = ()
     #: parameter keys subject to L1/L2 weight decay
     regularized: tuple[str, ...] = ()
 
     def __init__(self, name: str):
         self.name = name
+        self._cache = None
 
     def forward(self, x: Tensor, mode: str = TRAIN, rng: RngStream | None = None) -> Tensor:
         raise NotImplementedError
@@ -65,25 +78,43 @@ class Layer:
         raise NotImplementedError
 
     def params(self) -> dict[str, Tensor]:
-        return {}
+        return {key: getattr(self, key) for key in self.param_keys}
 
     def grads(self) -> dict[str, Tensor]:
-        return {}
+        return {key: getattr(self, "g_" + key) for key in self.param_keys}
 
     def state(self) -> dict[str, Tensor]:
         """Every persistent array, learnable or not."""
-        return dict(self.params())
+        return {key: getattr(self, key) for key in self.param_keys + self.buffer_keys}
 
     def set_state(self, arrays: dict[str, Tensor]) -> None:
+        """Copy arrays in place; each must match its target's shape and
+        dtype and hold only finite values."""
         state = self.state()
         for key, value in arrays.items():
             if key not in state:
                 raise KeyError(f"{self.name}: unknown state key {key!r}")
-            if state[key].shape != value.shape:
+            target = state[key]
+            if target.shape != value.shape:
                 raise ValueError(
-                    f"{self.name}.{key}: shape {value.shape} does not match {state[key].shape}"
-                )
-            state[key][...] = value
+                    f"{self.name}.{key}: shape {value.shape} does not match {target.shape}")
+            if target.dtype != value.dtype:
+                raise ValueError(
+                    f"{self.name}.{key}: dtype {value.dtype} does not match {target.dtype}")
+            if not np.isfinite(value).all():
+                raise ValueError(f"{self.name}.{key}: holds non-finite values")
+            target[...] = value
+
+    def _keep(self, mode: str, out: Tensor, *cache) -> Tensor:
+        """Return ``out``; a TRAIN forward keeps ``cache`` for backward, any
+        other forward drops the cache."""
+        self._cache = (out.shape, cache) if mode == TRAIN else None
+        return out
+
+    def _kept(self, upstream: Tensor) -> tuple:
+        """What the last TRAIN forward kept, once ``upstream`` matches its output."""
+        self._check_upstream(upstream, None if self._cache is None else self._cache[0])
+        return self._cache[1]
 
     def _check_upstream(self, upstream: Tensor, expected_shape) -> None:
         if expected_shape is None:
@@ -110,6 +141,7 @@ class Conv(Layer):
     ``taps`` times the size of the input.
     """
 
+    param_keys = ("kernel", "bias")
     regularized = ("kernel",)
 
     def __init__(self, maps_in: int, maps_out: int, extents, rng: RngStream,
@@ -126,16 +158,8 @@ class Conv(Layer):
                                      maps_in * self._taps, maps_out * self._taps, rng, dtype)
         self.bias = np.zeros(maps_out, dtype=dtype)
         self._pads = tuple(((e - 1) // 2, e // 2) for e in extents)
-        self._padded: Tensor | None = None
-        self._out_shape = None
         self.g_kernel = np.zeros_like(self.kernel)
         self.g_bias = np.zeros_like(self.bias)
-
-    def params(self) -> dict[str, Tensor]:
-        return {"kernel": self.kernel, "bias": self.bias}
-
-    def grads(self) -> dict[str, Tensor]:
-        return {"kernel": self.g_kernel, "bias": self.g_bias}
 
     def _windows(self, spatial):
         """The slice of the padded input each tap reads, in np.ndindex order."""
@@ -159,24 +183,20 @@ class Conv(Layer):
         padded = np.pad(x, ((0, 0), (0, 0)) + self._pads)
         out = np.matmul(self.kernel.reshape(self.maps_out, -1), self._columns(padded, spatial))
         out += self.bias[:, None]
-        out = out.reshape((x.shape[0], self.maps_out) + spatial)
-        train = mode == TRAIN
-        self._padded = padded if train else None
-        self._out_shape = out.shape if train else None
-        return out
+        return self._keep(mode, out.reshape((x.shape[0], self.maps_out) + spatial), padded)
 
     def backward(self, upstream: Tensor) -> Tensor:
-        self._check_upstream(upstream, self._out_shape)
-        spatial = self._out_shape[2:]
+        padded, = self._kept(upstream)
+        spatial = upstream.shape[2:]
         up = upstream.reshape(upstream.shape[0], self.maps_out, -1)
         self.g_bias = up.sum(axis=2).sum(axis=0)
-        cols = self._columns(self._padded, spatial)
+        cols = self._columns(padded, spatial)
         self.g_kernel = np.matmul(up, cols.transpose(0, 2, 1)).sum(axis=0).reshape(
             self.kernel.shape)
         del cols
         d_cols = np.matmul(self.kernel.reshape(self.maps_out, -1).T, up).reshape(
             (up.shape[0], self.maps_in, self._taps) + spatial)
-        d_padded = np.zeros_like(self._padded)
+        d_padded = np.zeros_like(padded)
         for t, window in enumerate(self._windows(spatial)):
             d_padded[window] += d_cols[:, :, t]
         crop = (slice(None), slice(None)) + tuple(
@@ -192,9 +212,6 @@ class MaxPool(Layer):
         self.window = _as_tuple(window)
         if any(w < 1 for w in self.window):
             raise ValueError(f"pool window extents must be positive, got {self.window}")
-        self._argmax = None
-        self._in_shape = None
-        self._out_shape = None
 
     def forward(self, x: Tensor, mode: str = TRAIN, rng: RngStream | None = None) -> Tensor:
         rank = len(self.window)
@@ -208,13 +225,12 @@ class MaxPool(Layer):
             # running maximum over one strided view per window offset; a
             # max over the window axis of the tiles below is several times
             # slower, and inference needs no argmax
-            self._argmax = self._in_shape = self._out_shape = None
             out = None
             for offs in np.ndindex(*self.window):
                 view = x[(slice(None), slice(None)) + tuple(
                     slice(o, None, w) for o, w in zip(offs, self.window))]
                 out = view.copy() if out is None else np.maximum(out, view, out=out)
-            return out
+            return self._keep(mode, out)
         outs = tuple(s // w for s, w in zip(spatial, self.window))
         inter: list[int] = []
         for o, w in zip(outs, self.window):
@@ -222,19 +238,16 @@ class MaxPool(Layer):
         perm = (0, 1) + tuple(2 + 2 * i for i in range(rank)) + tuple(3 + 2 * i for i in range(rank))
         tiles = x.reshape(x.shape[:2] + tuple(inter)).transpose(perm)
         tiles = tiles.reshape(x.shape[:2] + outs + (-1,))
-        self._argmax = tiles.argmax(axis=-1)
-        out = np.take_along_axis(tiles, self._argmax[..., None], axis=-1)[..., 0]
-        self._in_shape = x.shape
-        self._out_shape = out.shape
-        self._perm = perm
-        return out
+        argmax = tiles.argmax(axis=-1)
+        out = np.take_along_axis(tiles, argmax[..., None], axis=-1)[..., 0]
+        return self._keep(mode, out, argmax, x.shape, perm)
 
     def backward(self, upstream: Tensor) -> Tensor:
-        self._check_upstream(upstream, self._out_shape)
-        flat = np.zeros(self._out_shape + (int(np.prod(self.window)),), dtype=upstream.dtype)
-        np.put_along_axis(flat, self._argmax[..., None], upstream[..., None], axis=-1)
-        tiles = flat.reshape(self._out_shape + self.window)
-        return tiles.transpose(np.argsort(self._perm)).reshape(self._in_shape)
+        argmax, in_shape, perm = self._kept(upstream)
+        flat = np.zeros(upstream.shape + (int(np.prod(self.window)),), dtype=upstream.dtype)
+        np.put_along_axis(flat, argmax[..., None], upstream[..., None], axis=-1)
+        tiles = flat.reshape(upstream.shape + self.window)
+        return tiles.transpose(np.argsort(perm)).reshape(in_shape)
 
 
 class BatchNorm(Layer):
@@ -249,6 +262,9 @@ class BatchNorm(Layer):
     is valid.
     """
 
+    param_keys = ("gamma", "beta")
+    buffer_keys = ("running_mean", "running_var")
+
     def __init__(self, maps: int, momentum: float = 0.1, epsilon: float = 1e-5,
                  name: str = "bn", dtype=DEFAULT_DTYPE):
         super().__init__(name)
@@ -261,17 +277,6 @@ class BatchNorm(Layer):
         self.running_var = np.ones(maps, dtype=dtype)
         self.g_gamma = np.zeros_like(self.gamma)
         self.g_beta = np.zeros_like(self.beta)
-        self._cache = None
-
-    def params(self) -> dict[str, Tensor]:
-        return {"gamma": self.gamma, "beta": self.beta}
-
-    def grads(self) -> dict[str, Tensor]:
-        return {"gamma": self.g_gamma, "beta": self.g_beta}
-
-    def state(self) -> dict[str, Tensor]:
-        return {"gamma": self.gamma, "beta": self.beta,
-                "running_mean": self.running_mean, "running_var": self.running_var}
 
     def _inv_std(self, var: Tensor, dtype) -> Tensor:
         return (1.0 / np.sqrt(var + np.asarray(self.epsilon, dtype=dtype))).astype(dtype)
@@ -281,12 +286,11 @@ class BatchNorm(Layer):
             raise ValueError(f"{self.name}: expected {self.maps} feature maps, got shape {x.shape}")
         x3 = x.reshape(x.shape[0], self.maps, -1)
         if mode != TRAIN:
-            self._cache = None
             scale = self.gamma * self._inv_std(self.running_var, x.dtype)
             shift = self.beta - self.running_mean * scale
             out = x3 * scale.astype(x.dtype)[:, None]
             out += shift.astype(x.dtype)[:, None]
-            return out.reshape(x.shape)
+            return self._keep(mode, out.reshape(x.shape))
         if x.shape[0] < 2:
             raise ValueError(f"{self.name}: train mode needs batch size >= 2")
         count = x3.shape[0] * x3.shape[2]
@@ -299,14 +303,10 @@ class BatchNorm(Layer):
         xhat *= inv_std[:, None]
         out = xhat * self.gamma[:, None]
         out += self.beta[:, None]
-        self._cache = (xhat, inv_std, x.shape)
-        return out.reshape(x.shape)
+        return self._keep(mode, out.reshape(x.shape), xhat, inv_std)
 
     def backward(self, upstream: Tensor) -> Tensor:
-        if self._cache is None:
-            raise RuntimeError(f"{self.name}: backward requires a recorded train-mode forward")
-        xhat, inv_std, in_shape = self._cache
-        self._check_upstream(upstream, in_shape)
+        xhat, inv_std = self._kept(upstream)
         up = upstream.reshape(xhat.shape)
         count = xhat.shape[0] * xhat.shape[2]
         self.g_gamma = _rowdot(up, xhat).sum(axis=0)
@@ -327,29 +327,22 @@ class Dropout(Layer):
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = float(rate)
-        self._mask = None
-        self._out_shape = None
 
     def forward(self, x: Tensor, mode: str = TRAIN, rng: RngStream | None = None) -> Tensor:
-        self._mask = None
-        if mode != TRAIN:
-            self._out_shape = None
-            return x
-        self._out_shape = x.shape
-        if self.rate == 0.0:
-            return x
+        if mode != TRAIN or self.rate == 0.0:
+            return self._keep(mode, x, None)
         if rng is None:
             raise ValueError(f"{self.name}: train mode needs an RNG stream")
-        self._mask = rng.uniform(size=x.shape) >= self.rate
+        mask = rng.uniform(size=x.shape) >= self.rate
         scale = x.dtype.type(1.0 / (1.0 - self.rate))
-        return np.where(self._mask, x, x.dtype.type(0)) * scale
+        return self._keep(mode, np.where(mask, x, x.dtype.type(0)) * scale, mask)
 
     def backward(self, upstream: Tensor) -> Tensor:
-        self._check_upstream(upstream, self._out_shape)
-        if self._mask is None:
+        mask, = self._kept(upstream)
+        if mask is None:
             return upstream
         scale = upstream.dtype.type(1.0 / (1.0 - self.rate))
-        return np.where(self._mask, upstream, upstream.dtype.type(0)) * scale
+        return np.where(mask, upstream, upstream.dtype.type(0)) * scale
 
 
 class Flatten(Layer):
@@ -357,21 +350,19 @@ class Flatten(Layer):
 
     def __init__(self, name: str = "flatten"):
         super().__init__(name)
-        self._in_shape = None
 
     def forward(self, x: Tensor, mode: str = TRAIN, rng: RngStream | None = None) -> Tensor:
-        self._in_shape = x.shape if mode == TRAIN else None
-        return x.reshape(x.shape[0], -1)
+        return self._keep(mode, x.reshape(x.shape[0], -1), x.shape)
 
     def backward(self, upstream: Tensor) -> Tensor:
-        if self._in_shape is None:
-            raise RuntimeError(f"{self.name}: backward requires a recorded train-mode forward")
-        return upstream.reshape(self._in_shape)
+        in_shape, = self._kept(upstream)
+        return upstream.reshape(in_shape)
 
 
 class Dense(Layer):
     """Fully connected layer: out = x W^T + b with W of shape (n_out, n_in)."""
 
+    param_keys = ("weights", "bias")
     regularized = ("weights",)
 
     def __init__(self, n_in: int, n_out: int, rng: RngStream,
@@ -383,24 +374,15 @@ class Dense(Layer):
         self.bias = np.zeros(n_out, dtype=dtype)
         self.g_weights = np.zeros_like(self.weights)
         self.g_bias = np.zeros_like(self.bias)
-        self._input = None
-
-    def params(self) -> dict[str, Tensor]:
-        return {"weights": self.weights, "bias": self.bias}
-
-    def grads(self) -> dict[str, Tensor]:
-        return {"weights": self.g_weights, "bias": self.g_bias}
 
     def forward(self, x: Tensor, mode: str = TRAIN, rng: RngStream | None = None) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.n_in:
             raise ValueError(f"{self.name}: expected (batch, {self.n_in}) input, got {x.shape}")
-        self._input = x if mode == TRAIN else None
-        return x @ self.weights.T + self.bias
+        return self._keep(mode, x @ self.weights.T + self.bias, x)
 
     def backward(self, upstream: Tensor) -> Tensor:
-        self._check_upstream(upstream, None if self._input is None
-                             else (self._input.shape[0], self.n_out))
-        self.g_weights = upstream.T @ self._input
+        x, = self._kept(upstream)
+        self.g_weights = upstream.T @ x
         self.g_bias = upstream.sum(axis=0)
         return upstream @ self.weights
 
@@ -408,24 +390,18 @@ class Dense(Layer):
 class ReLU(Layer):
     def __init__(self, name: str = "relu"):
         super().__init__(name)
-        self._mask = None
-        self._out_shape = None
 
     def forward(self, x: Tensor, mode: str = TRAIN, rng: RngStream | None = None) -> Tensor:
-        train = mode == TRAIN
-        self._mask = x > 0 if train else None
-        self._out_shape = x.shape if train else None
-        return np.maximum(x, x.dtype.type(0))
+        return self._keep(mode, np.maximum(x, x.dtype.type(0)), x > 0 if mode == TRAIN else None)
 
     def backward(self, upstream: Tensor) -> Tensor:
-        self._check_upstream(upstream, self._out_shape)
-        return np.where(self._mask, upstream, upstream.dtype.type(0))
+        mask, = self._kept(upstream)
+        return np.where(mask, upstream, upstream.dtype.type(0))
 
 
 class Sigmoid(Layer):
     def __init__(self, name: str = "sigmoid"):
         super().__init__(name)
-        self._out = None
 
     def forward(self, x: Tensor, mode: str = TRAIN, rng: RngStream | None = None) -> Tensor:
         out = np.empty_like(x)
@@ -433,12 +409,11 @@ class Sigmoid(Layer):
         out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
         ex = np.exp(x[~pos])
         out[~pos] = ex / (1.0 + ex)
-        self._out = out if mode == TRAIN else None
-        return out
+        return self._keep(mode, out, out)
 
     def backward(self, upstream: Tensor) -> Tensor:
-        self._check_upstream(upstream, None if self._out is None else self._out.shape)
-        return upstream * self._out * (1.0 - self._out)
+        out, = self._kept(upstream)
+        return upstream * out * (1.0 - out)
 
 
 class Network:
@@ -478,26 +453,19 @@ class Network:
             up = up.reshape((up.shape[0],) + self.input_grid)
         return up
 
+    def _prefixed(self, arrays: str) -> dict[str, Tensor]:
+        """Every layer's ``params``, ``grads`` or ``state`` keyed ``layer.key``."""
+        return {f"{layer.name}.{key}": value for layer in self.layers
+                for key, value in getattr(layer, arrays)().items()}
+
     def params(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for layer in self.layers:
-            for key, value in layer.params().items():
-                out[f"{layer.name}.{key}"] = value
-        return out
+        return self._prefixed("params")
 
     def grads(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for layer in self.layers:
-            for key, value in layer.grads().items():
-                out[f"{layer.name}.{key}"] = value
-        return out
+        return self._prefixed("grads")
 
     def state(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for layer in self.layers:
-            for key, value in layer.state().items():
-                out[f"{layer.name}.{key}"] = value
-        return out
+        return self._prefixed("state")
 
     def load_state(self, arrays: dict[str, Tensor]) -> None:
         expected = self.state()

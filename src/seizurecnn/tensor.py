@@ -54,38 +54,29 @@ class RngStream:
             raise ValueError("seed must fit in 64 unsigned bits")
         self.seed = seed
         self.path = tuple(path)
-        self.draws = 0
         self._gen = np.random.Generator(np.random.Philox(key=_stream_key(seed, self.path)))
 
     def split(self, label: str) -> "RngStream":
         """Derive an independent child stream identified by ``label``."""
         return RngStream(self.seed, self.path + (str(label),))
 
-    def _count(self, size) -> None:
-        self.draws += int(np.prod(size)) if size is not None else 1
-
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None) -> Tensor:
-        self._count(size)
         return self._gen.uniform(low, high, size=size)
 
     def normal(self, loc: float = 0.0, scale: float = 1.0, size=None) -> Tensor:
-        self._count(size)
         return self._gen.normal(loc, scale, size=size)
 
     def integers(self, low: int, high: int, size=None) -> Tensor:
-        self._count(size)
         return self._gen.integers(low, high, size=size)
 
     def permutation(self, n: int) -> Tensor:
-        self.draws += int(n)
         return self._gen.permutation(n)
 
     def choice(self, n: int, size: int, replace: bool = False) -> Tensor:
-        self.draws += int(size)
         return self._gen.choice(n, size=size, replace=replace)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"RngStream(seed={self.seed}, path={self.path!r}, draws={self.draws})"
+        return f"RngStream(seed={self.seed}, path={self.path!r})"
 
 
 def seeded_rng(seed: int) -> RngStream:

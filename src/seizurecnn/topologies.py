@@ -230,18 +230,10 @@ def reshape_batch(segments: Tensor, topology: str,
     return segments[:, order, :].reshape((segments.shape[0],) + grid)
 
 
-def reshape_segment(segment: Tensor, topology: str,
-                    layout: ElectrodeLayout | None = None) -> Tensor:
-    segment = np.asarray(segment)
-    if segment.shape != (N_CHANNELS, SEGMENT_SAMPLES):
-        raise ValueError(
-            f"expected a ({N_CHANNELS}, {SEGMENT_SAMPLES}) segment, got {segment.shape}")
-    return reshape_batch(segment[None], topology, layout)[0]
-
-
 @dataclass(frozen=True)
 class LayerDesc:
-    """One entry of the declarative stack description."""
+    """One layer of a built network: its name, its kind (the lowercased
+    class name) and whichever shape settings that kind has."""
     name: str
     kind: str
     kernel: tuple[int, ...] | None = None
@@ -249,6 +241,15 @@ class LayerDesc:
     maps: int | None = None
     rate: float | None = None
     units: int | None = None
+
+    @classmethod
+    def of(cls, layer) -> "LayerDesc":
+        return cls(layer.name, type(layer).__name__.lower(),
+                   kernel=getattr(layer, "extents", None),
+                   pool=getattr(layer, "window", None),
+                   maps=getattr(layer, "maps_out", getattr(layer, "maps", None)),
+                   rate=getattr(layer, "rate", None),
+                   units=getattr(layer, "n_out", None))
 
 
 @dataclass(frozen=True)
@@ -301,7 +302,6 @@ def build_topology(topology: str, layout: ElectrodeLayout | None,
     init = rng.split("init")
 
     layers: list = [BatchNorm(1, name="bn_in")]
-    descs: list[LayerDesc] = [LayerDesc("bn_in", "batchnorm", maps=1)]
     extents = list(grid)
     maps_in = 1
     time_chain = []
@@ -311,12 +311,6 @@ def build_topology(topology: str, layout: ElectrodeLayout | None,
             BatchNorm(maps, name=f"bn{i}"),
             ReLU(name=f"act{i}"),
             MaxPool(pool, name=f"pool{i}"),
-        ]
-        descs += [
-            LayerDesc(f"conv{i}", "conv", kernel=kernel, maps=maps),
-            LayerDesc(f"bn{i}", "batchnorm", maps=maps),
-            LayerDesc(f"act{i}", "relu"),
-            LayerDesc(f"pool{i}", "maxpool", pool=pool),
         ]
         for axis, p in enumerate(pool):
             if extents[axis] % p != 0:
@@ -339,15 +333,6 @@ def build_topology(topology: str, layout: ElectrodeLayout | None,
         Dense(HIDDEN_UNITS, 1, init.split("dense2"), name="dense2"),
         Sigmoid(name="out"),
     ]
-    descs += [
-        LayerDesc("flatten", "flatten"),
-        LayerDesc("drop1", "dropout", rate=DROPOUT_FLAT),
-        LayerDesc("dense1", "dense", units=HIDDEN_UNITS),
-        LayerDesc("act7", "relu"),
-        LayerDesc("drop2", "dropout", rate=DROPOUT_HIDDEN),
-        LayerDesc("dense2", "dense", units=1),
-        LayerDesc("out", "sigmoid"),
-    ]
 
     network = Network(layers, input_grid=grid)
     trainable = set(network.params())
@@ -355,5 +340,6 @@ def build_topology(topology: str, layout: ElectrodeLayout | None,
     manifest = {name: ParamInfo(tuple(arr.shape), name in trainable, name in regularized)
                 for name, arr in network.state().items()}
     # the flatten reshape is not counted as a layer
-    spec = ModelSpec(topology, grid, tuple(descs), manifest, n_layers=len(layers) - 1)
+    spec = ModelSpec(topology, grid, tuple(LayerDesc.of(layer) for layer in layers), manifest,
+                     n_layers=len(layers) - 1)
     return spec, network

@@ -10,6 +10,7 @@ import pytest
 from seizurecnn import cli, training
 from seizurecnn.data import Manifest, load_clip
 from seizurecnn.evaluation import EvaluationReport
+from seizurecnn.tensor import load_arrays, save_arrays
 from seizurecnn.topologies import ElectrodeLayout
 
 
@@ -210,6 +211,16 @@ class TestEvaluate:
         clone.mkdir()
         (clone / "run.json").write_text(json.dumps({"subject": "synth01"}))
         assert cli.main(["evaluate", "--run", str(clone)]) == 3
+
+    def test_non_finite_parameters_rejected(self, run_dir, tmp_path):
+        clone = tmp_path / "clone"
+        clone.mkdir()
+        (clone / "run.json").write_bytes((run_dir / "run.json").read_bytes())
+        arrays = load_arrays(run_dir / "parameters.npz")
+        arrays["dense2.weights"][0, 0] = np.nan
+        save_arrays(clone / "parameters.npz", arrays)
+        assert cli.main(["evaluate", "--run", str(clone)]) == 3
+        assert not (clone / "report.json").exists()
 
     def test_missing_run_dir(self, tmp_path):
         assert cli.main(["evaluate", "--run", str(tmp_path / "nope")]) == 3

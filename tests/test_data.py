@@ -196,13 +196,6 @@ class TestSegment:
 
 
 class TestSegmentBatch:
-    def test_concat_renumbers_clips(self):
-        a = segment(noise_clip(6000, rate=200.0, seed=1), clip_id=0)
-        b = segment(noise_clip(6000, rate=200.0, seed=2), clip_id=0)
-        joined = SegmentBatch.concat([a, b])
-        assert len(joined) == 4
-        assert joined.clip_ids.tolist() == [0, 0, 1, 1]
-
     def test_shape_validation(self):
         with pytest.raises(DataError):
             SegmentBatch(np.zeros((2, 15, 3000)), np.zeros(2), np.zeros(2))
@@ -460,6 +453,7 @@ class TestLoadSplitSegments:
         # one minute at 400 Hz becomes 12000 samples, i.e. 4 segments per clip
         assert len(batch) == 8
         assert sorted(batch.labels.tolist()) == [0] * 4 + [1] * 4
+        assert batch.clip_ids.tolist() == [0] * 4 + [1] * 4
         assert len(records) == 2
         for seg_label, cid in zip(batch.labels, batch.clip_ids):
             expected = 1 if records[cid].label == "preictal" else 0

@@ -365,6 +365,21 @@ class TestNetwork:
         with pytest.raises(ValueError):
             net.load_state(state)
 
+    def test_load_state_rejects_non_finite_and_wrong_dtype(self):
+        net = self._small_net()
+        before = {k: v.copy() for k, v in net.state().items()}
+        for key, bad in [("dense.weights", np.nan), ("conv.bias", np.inf)]:
+            state = {k: v.copy() for k, v in net.state().items()}
+            state[key].flat[0] = bad
+            with pytest.raises(ValueError, match=key):
+                net.load_state(state)
+        state = {k: v.copy() for k, v in net.state().items()}
+        state["conv.kernel"] = state["conv.kernel"].astype(np.float32)
+        with pytest.raises(ValueError, match="conv.kernel"):
+            net.load_state(state)
+        for key, value in net.state().items():
+            assert np.array_equal(value, before[key])
+
     def test_regularized_names(self):
         net = self._small_net()
         assert net.regularized_names() == ["conv.kernel", "dense.weights"]

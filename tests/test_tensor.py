@@ -41,12 +41,6 @@ class TestRngStream:
         assert np.array_equal(root1.split("k").uniform(size=10),
                               fresh.split("k").uniform(size=10))
 
-    def test_draws_counter(self):
-        rng = seeded_rng(1)
-        rng.uniform(size=(3, 4))
-        rng.normal()
-        assert rng.draws == 13
-
     def test_seed_bounds(self):
         seeded_rng(0)
         seeded_rng(2**64 - 1)

@@ -7,7 +7,7 @@ from seizurecnn.errors import ConfigError, LayoutError
 from seizurecnn.layers import INFER
 from seizurecnn.tensor import seeded_rng
 from seizurecnn.topologies import (TOPOLOGIES, ElectrodeLayout, build_topology,
-                                   input_grid, reshape_batch, reshape_segment)
+                                   input_grid, reshape_batch)
 
 
 def shuffled_layout(seed):
@@ -174,14 +174,6 @@ class TestReshape:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             reshape_batch(np.zeros((2, 15, 3000)), "nv1x16")
-        with pytest.raises(ValueError):
-            reshape_segment(np.zeros((16, 2999)), "nv1x16")
-
-    def test_reshape_segment_matches_batch(self):
-        segs = self.segments(n=1)
-        layout = shuffled_layout(10)
-        single = reshape_segment(segs[0], "nv4x4", layout)
-        assert np.array_equal(single, reshape_batch(segs, "nv4x4", layout)[0])
 
 
 class TestBuildTopology:
@@ -197,6 +189,17 @@ class TestBuildTopology:
         spec, network = self.build(topology)
         assert spec.n_layers == 31
         assert len(network.layers) == 32  # flatten is in the stack but not counted
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_spec_describes_network(self, topology):
+        spec, network = self.build(topology)
+        # per-layer benchmark timings wrap forward and backward on each class
+        for layer in network.layers:
+            assert {"forward", "backward"} <= set(vars(type(layer))), type(layer)
+        assert [d.name for d in spec.layers] == [layer.name for layer in network.layers]
+        for desc, layer in zip(spec.layers, network.layers):
+            assert desc.kind == type(layer).__name__.lower()
+        assert spec.n_layers == len(network.layers) - 1
 
     @pytest.mark.parametrize("topology", TOPOLOGIES)
     def test_output_is_probability(self, topology):
