@@ -14,30 +14,33 @@ re-evaluated long after the fact and a stale layout is caught instead of
 silently mis-gridding channels.
 
 Training several seeds at once honors SEIZURECNN_WORKERS (default 1)
-with one process per seed.
+with one process per seed. Every seed runs even when another fails: each
+finished run directory is printed, each failure gets its own error line,
+and the exit code is that of the first failed seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from multiprocessing import get_context
 from pathlib import Path
 
 from . import __version__
-from .data import (Manifest, decimate, generate_synthetic, load_clip,
+from .data import (Manifest, cook, generate_synthetic, load_clip,
                    load_split_segments, preprocess_clip, save_clip,
-                   split_train_validation, znormalize)
+                   split_train_validation)
 from .errors import (ConfigError, DataError, LayoutError, SeizureCnnError,
                      UnknownSubjectError)
 from .evaluation import (EvaluationReport, aggregate_clip, aggregate_runs,
                          evaluate_subject, predict_segments)
-from .tensor import RNG_ALGORITHM_ID, load_arrays, save_arrays, seeded_rng
+from .tensor import (RNG_ALGORITHM_ID, load_arrays, load_json, save_arrays,
+                     save_json, seeded_rng)
 from .topologies import TOPOLOGIES, build_topology
 from .training import TrainConfig, fit
 
@@ -58,26 +61,22 @@ class RunManifest:
     seed: int
     config: dict
     data_manifest: str
-    decimation: str
     layout_sha256: str | None
     artifacts: dict
     toolkit_version: str = __version__
     rng_algorithm: str = RNG_ALGORITHM_ID
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.__dict__, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        save_json(path, self.__dict__)
 
     @classmethod
     def load(cls, path) -> "RunManifest":
-        try:
-            with open(path) as fh:
-                obj = json.load(fh)
-        except OSError as exc:
-            raise DataError(f"cannot read run manifest {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise DataError(f"run manifest {path} is not valid JSON: {exc}") from exc
+        obj = load_json(path, "run manifest", DataError)
+        # earlier versions recorded the decimation method; only FIR is applied now
+        legacy = obj.pop("decimation", "fir") if isinstance(obj, dict) else "fir"
+        if legacy != "fir":
+            raise DataError(f"run manifest {path} records {legacy!r} decimation; "
+                            f"only FIR decimation can re-score it")
         try:
             return cls(**obj)
         except TypeError as exc:
@@ -88,13 +87,7 @@ def _load_config(args) -> TrainConfig:
     """Config file plus flag overrides, validated fail-closed."""
     keys: dict = {}
     if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                obj = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
+        obj = load_json(args.config, "config", ConfigError)
         if not isinstance(obj, dict):
             raise ConfigError(f"config {args.config} must be a JSON mapping")
         keys.update(obj)
@@ -138,13 +131,12 @@ def _run_dir(out: Path, subject: str, topology: str, seed: int) -> Path:
     return out / f"{subject}_{topology}_s{seed:04d}"
 
 
-def _train_one(cfg_mapping: dict, manifest_path: str, subject: str,
-               out: str, decimation: str) -> str:
+def _train_one(cfg_mapping: dict, manifest_path: str, subject: str, out: str) -> str:
     """One complete training run; safe to call in a spawned worker."""
     cfg = TrainConfig.from_mapping(cfg_mapping)
     manifest = Manifest.load(manifest_path)
     layout = manifest.layout_for(subject)
-    train_batch, _ = load_split_segments(manifest, subject, "train", decimation)
+    train_batch, _ = load_split_segments(manifest, subject, "train")
 
     run_rng = seeded_rng(cfg.seed)
     _, network = build_topology(cfg.topology, layout, run_rng.split("model"))
@@ -157,7 +149,6 @@ def _train_one(cfg_mapping: dict, manifest_path: str, subject: str,
     RunManifest(
         subject=subject, topology=cfg.topology, seed=cfg.seed,
         config=cfg.to_mapping(), data_manifest=str(manifest_path),
-        decimation=decimation,
         layout_sha256=layout.content_hash() if layout is not None else None,
         artifacts={"parameters": PARAMS_FILE, "history": HISTORY_FILE,
                    "report": REPORT_FILE, "roc": ROC_FILE},
@@ -165,24 +156,31 @@ def _train_one(cfg_mapping: dict, manifest_path: str, subject: str,
     return str(run_dir)
 
 
+def _print_run(run) -> int:
+    """Print the run directory ``run()`` returns, or its error line, and
+    return the exit code ``main`` would give for it."""
+    try:
+        print(run())
+    except SeizureCnnError as exc:
+        return _error_exit(exc)
+    return 0
+
+
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     manifest = Manifest.load(args.manifest)
     _require_subject(manifest, args.subject)
-    seeds = _parse_seeds(args)
     jobs = [(cfg.replace(seed=s).to_mapping(), str(args.manifest), args.subject,
-             str(args.out), args.decimation) for s in seeds]
+             str(args.out)) for s in _parse_seeds(args)]
     workers = min(_worker_count(), len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=get_context("spawn")) as pool:
             futures = [pool.submit(_train_one, *job) for job in jobs]
-            run_dirs = [f.result() for f in futures]
+            codes = [_print_run(f.result) for f in futures]
     else:
-        run_dirs = [_train_one(*job) for job in jobs]
-    for run_dir in run_dirs:
-        print(run_dir)
-    return 0
+        codes = [_print_run(partial(_train_one, *job)) for job in jobs]
+    return next((code for code in codes if code), 0)
 
 
 def _load_trained(run_dir: Path, manifest_path: str | None):
@@ -210,8 +208,7 @@ def cmd_evaluate(args) -> int:
     run_dir = Path(args.run)
     run, manifest, layout, network = _load_trained(run_dir, args.manifest)
     report = evaluate_subject(network, run.topology, manifest, run.subject,
-                              split=args.split, layout=layout, seed=run.seed,
-                              decimation=run.decimation)
+                              split=args.split, layout=layout, seed=run.seed)
     report.save(run_dir / REPORT_FILE)
     report.roc_to_csv(run_dir / ROC_FILE)
     print(f"{report.subject} {report.topology} seed={run.seed} "
@@ -222,7 +219,7 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     run, _, layout, network = _load_trained(Path(args.run), args.manifest)
     clip = load_clip(args.clip)
-    segs = preprocess_clip(clip, decimation=run.decimation)
+    segs = preprocess_clip(clip)
     probs = predict_segments(network, run.topology, segs, layout)
     print(f"{args.clip} probability={aggregate_clip(probs):.6f}")
     return 0
@@ -271,8 +268,7 @@ def cmd_preprocess(args) -> int:
     (out / "layouts").mkdir(parents=True, exist_ok=True)
     records = []
     for rec in manifest.clips:
-        clip = manifest.load_record(rec)
-        cooked = znormalize(decimate(clip, args.decimation))
+        cooked = cook(manifest.load_record(rec))
         rel = f"clips/{Path(rec.path).name}"
         save_clip(cooked, out / rel)
         records.append(type(rec)(rel, rec.subject, rec.label, rec.split, rec.group))
@@ -304,10 +300,8 @@ def cmd_report(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     groups = [aggregate_runs(group) for _, group in sorted(reports.items())]
-    with open(out / "aggregates.json", "w") as fh:
-        json.dump({"groups": [g.to_mapping() for g in groups], "skipped": sorted(skipped)},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(out / "aggregates.json",
+              {"groups": [g.to_mapping() for g in groups], "skipped": sorted(skipped)})
 
     # mean-AUC grid, subjects down, topologies across
     subjects = sorted({s for s, _ in reports})
@@ -347,10 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("preprocess", help="cache decimated, normalized clips")
+    p = sub.add_parser("preprocess", help="cache 200 Hz, normalized clips")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--decimation", choices=("fir", "naive"), default="fir")
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("split", help="carve out a validation set")
@@ -369,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seeds", help="inclusive range A..B, one run per seed")
     p.add_argument("--out", required=True)
-    p.add_argument("--decimation", choices=("fir", "naive"), default="fir")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a trained run on a labeled split")
@@ -392,19 +384,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error_exit(exc: SeizureCnnError) -> int:
+    """Print ``exc`` as an error line and return its exit code: 2 for
+    configuration, 3 for data, 1 for anything else."""
+    print(f"error: {exc}", file=sys.stderr)
+    if isinstance(exc, ConfigError):
+        return 2
+    if isinstance(exc, DataError):
+        return 3
+    return 1
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except SeizureCnnError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error_exit(exc)
 
 
 if __name__ == "__main__":

@@ -6,10 +6,11 @@ our own; manifests are JSON documents listing clip files with subject,
 label, split and an optional seizure-group tag, plus one electrode
 layout file per subject.
 
-Preprocessing runs per clip in a fixed order: decimate 400 Hz to 200 Hz,
-z-normalize each channel over the whole clip, then cut non-overlapping
-3000-sample segments. Nothing crosses clip boundaries, so train and test
-data can never contaminate each other through statistics.
+Preprocessing runs per clip in a fixed order, which ``cook`` and
+``preprocess_clip`` alone encode: decimate 400 Hz to 200 Hz, z-normalize
+each channel over the whole clip, then cut non-overlapping 3000-sample
+segments. Nothing crosses clip boundaries, so train and test data can
+never contaminate each other through statistics.
 
 The synthetic generator exists because the real recordings cannot be
 bundled. Interictal clips are 1/f colored noise; preictal clips add
@@ -21,7 +22,6 @@ That oracle is the sanity bar any trained network has to clear.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import struct
 import warnings
@@ -34,7 +34,7 @@ from scipy.signal import fftconvolve, firwin
 
 from .errors import (BadMagicError, ClipFormatError, ConfigError, DataError,
                      ManifestError, PayloadLengthError, UnsupportedVersionError)
-from .tensor import FLOAT32, RngStream, Tensor, seeded_rng
+from .tensor import FLOAT32, RngStream, Tensor, load_json, save_json, seeded_rng
 from .topologies import N_CHANNELS, SEGMENT_SAMPLES, ElectrodeLayout
 
 INGEST_RATE_HZ = 400.0
@@ -57,8 +57,6 @@ class Clip:
     samples: Tensor
     sample_rate_hz: float
     label: str = "unknown"
-    subject_id: str | None = None
-    split: str | None = None
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=FLOAT32)
@@ -86,9 +84,8 @@ def save_clip(clip: Clip, path) -> None:
         fh.write(payload)
 
 
-def load_clip(path, subject_id: str | None = None, split: str | None = None) -> Clip:
-    """Read one clip file; subject and split are manifest-level facts the
-    caller may attach."""
+def load_clip(path) -> Clip:
+    """Read one clip file; a NaN or infinite sample is a format error."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -111,7 +108,9 @@ def load_clip(path, subject_id: str | None = None, split: str | None = None) -> 
             f"{path}: header claims {n_channels}x{n_samples} samples "
             f"({expected} bytes) but payload holds {len(payload)}")
     samples = np.frombuffer(payload, dtype="<f4").reshape(n_channels, n_samples).copy()
-    return Clip(samples, rate, CODE_LABELS[label_code], subject_id, split)
+    if not np.isfinite(samples).all():
+        raise ClipFormatError(f"{path}: payload holds a NaN or infinite sample")
+    return Clip(samples, rate, CODE_LABELS[label_code])
 
 
 @lru_cache(maxsize=None)
@@ -120,30 +119,23 @@ def _antialias_taps() -> np.ndarray:
     return firwin(101, 80.0, fs=INGEST_RATE_HZ)
 
 
-def decimate(clip: Clip, method: str = "fir") -> Clip:
+def decimate(clip: Clip) -> Clip:
     """Halve the sample rate from 400 Hz to 200 Hz.
 
-    The default filters first (zero phase: symmetric FIR over a
-    symmetrically edge-padded signal) and keeps every second sample
-    starting at index 0. ``method="naive"`` skips the filter and plainly
-    drops samples, for sensitivity checks only.
+    Filters first (zero phase: symmetric FIR over a symmetrically
+    edge-padded signal), then keeps every second sample starting at
+    index 0.
     """
     if clip.sample_rate_hz != INGEST_RATE_HZ:
         raise DataError(f"decimate expects a {INGEST_RATE_HZ:g} Hz clip, "
                         f"got {clip.sample_rate_hz:g} Hz")
     if clip.n_samples % 2 != 0:
         raise DataError(f"decimate needs an even sample count, got {clip.n_samples}")
-    if method == "naive":
-        out = clip.samples[:, ::2]
-    elif method == "fir":
-        taps = _antialias_taps()
-        half = (len(taps) - 1) // 2
-        padded = np.pad(clip.samples, ((0, 0), (half, half)), mode="symmetric")
-        filtered = fftconvolve(padded, taps[None, :], mode="valid")
-        out = filtered[:, ::2]
-    else:
-        raise ConfigError(f"unknown decimation method {method!r}, expected fir or naive")
-    return Clip(out.astype(FLOAT32), TARGET_RATE_HZ, clip.label, clip.subject_id, clip.split)
+    taps = _antialias_taps()
+    half = (len(taps) - 1) // 2
+    padded = np.pad(clip.samples, ((0, 0), (half, half)), mode="symmetric")
+    filtered = fftconvolve(padded, taps[None, :], mode="valid")
+    return Clip(filtered[:, ::2].astype(FLOAT32), TARGET_RATE_HZ, clip.label)
 
 
 STD_FLOOR = 1e-8
@@ -159,8 +151,7 @@ def znormalize(clip: Clip) -> Clip:
     mean = x.mean(axis=1, keepdims=True)
     std = x.std(axis=1, keepdims=True)
     out = (x - mean) / np.maximum(std, STD_FLOOR)
-    return Clip(out.astype(FLOAT32), clip.sample_rate_hz, clip.label,
-                clip.subject_id, clip.split)
+    return Clip(out.astype(FLOAT32), clip.sample_rate_hz, clip.label)
 
 
 @dataclass
@@ -208,13 +199,22 @@ def segment(clip: Clip, clip_id: int = 0) -> SegmentBatch:
                         np.full(n_seg, clip_id, dtype=np.int64))
 
 
-def preprocess_clip(clip: Clip, clip_id: int = 0, decimation: str = "fir") -> SegmentBatch:
-    """decimate -> znormalize -> segment; a 200 Hz clip skips decimation."""
+def cook(clip: Clip) -> Clip:
+    """decimate -> znormalize; a 200 Hz clip is only normalized.
+
+    The result is the 200 Hz clip the networks see; already-cooked clips
+    come out re-normalized. Any other sample rate is rejected.
+    """
     if clip.sample_rate_hz == INGEST_RATE_HZ:
-        clip = decimate(clip, decimation)
+        clip = decimate(clip)
     elif clip.sample_rate_hz != TARGET_RATE_HZ:
         raise DataError(f"cannot preprocess a {clip.sample_rate_hz:g} Hz clip")
-    return segment(znormalize(clip), clip_id)
+    return znormalize(clip)
+
+
+def preprocess_clip(clip: Clip, clip_id: int = 0) -> SegmentBatch:
+    """cook -> segment."""
+    return segment(cook(clip), clip_id)
 
 
 @dataclass(frozen=True)
@@ -274,7 +274,7 @@ class Manifest:
         return self.base / record.path
 
     def load_record(self, record: ClipRecord) -> Clip:
-        clip = load_clip(self.clip_path(record), record.subject, record.split)
+        clip = load_clip(self.clip_path(record))
         if clip.label != record.label:
             raise ManifestError(
                 f"{record.path}: file label {clip.label!r} contradicts "
@@ -291,20 +291,12 @@ class Manifest:
         return {"clips": clips, "layouts": dict(sorted(self.layouts.items()))}
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_mapping(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        save_json(path, self.to_mapping())
 
     @classmethod
     def load(cls, path) -> "Manifest":
         path = Path(path)
-        try:
-            with open(path) as fh:
-                obj = json.load(fh)
-        except OSError as exc:
-            raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ManifestError(f"manifest {path} is not valid JSON: {exc}") from exc
+        obj = load_json(path, "manifest", ManifestError)
         if not isinstance(obj, dict) or "clips" not in obj:
             raise ManifestError(f"manifest {path} must be a mapping with a clips list")
         records = []
@@ -378,8 +370,8 @@ def split_train_validation(manifest: Manifest, fraction: float = 0.2,
             Manifest(val_records, manifest.layouts, manifest.base))
 
 
-def load_split_segments(manifest: Manifest, subject: str, split: str,
-                        decimation: str = "fir") -> tuple[SegmentBatch, list[ClipRecord]]:
+def load_split_segments(manifest: Manifest, subject: str,
+                        split: str) -> tuple[SegmentBatch, list[ClipRecord]]:
     """Preprocess every clip of one subject and split into a single batch.
 
     Clip ids index into the returned record list.
@@ -387,7 +379,7 @@ def load_split_segments(manifest: Manifest, subject: str, split: str,
     records = manifest.select(subject=subject, split=split)
     if not records:
         raise DataError(f"no {split} clips for subject {subject!r} in manifest")
-    batches = [preprocess_clip(manifest.load_record(r), clip_id=i, decimation=decimation)
+    batches = [preprocess_clip(manifest.load_record(r), clip_id=i)
                for i, r in enumerate(records)]
     return SegmentBatch(np.concatenate([b.segments for b in batches]),
                         np.concatenate([b.labels for b in batches]),
@@ -500,7 +492,7 @@ def generate_synthetic(out_dir, n_subjects: int = 1, train_clips: int = 80,
                         x = x + _burst_signal(crng.split("bursts"), N_CHANNELS,
                                               n_samples, INGEST_RATE_HZ)
                     rel = f"clips/{subject}_{split}_{label}_{i:04d}.clip"
-                    save_clip(Clip(x, INGEST_RATE_HZ, label, subject, split), root / rel)
+                    save_clip(Clip(x, INGEST_RATE_HZ, label), root / rel)
                     group = f"{subject}-{split}-seq{i // 6:03d}" if label == "preictal" else None
                     records.append(ClipRecord(rel, subject, label, split, group))
     manifest = Manifest(records, layouts, base=root)

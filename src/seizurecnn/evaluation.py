@@ -14,7 +14,6 @@ seeds record the five-number summary with linear-interpolation quartiles.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +21,7 @@ import numpy as np
 from .data import LABEL_CODES, Manifest, SegmentBatch, preprocess_clip
 from .errors import DataError, SingleClassError
 from .layers import INFER, Network
+from .tensor import load_json, save_json
 from .topologies import ElectrodeLayout, reshape_batch
 
 QUARTILE_METHOD = "linear"
@@ -108,9 +108,7 @@ class EvaluationReport:
         }
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_mapping(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        save_json(path, self.to_mapping())
 
     @classmethod
     def from_mapping(cls, obj: dict) -> "EvaluationReport":
@@ -124,13 +122,7 @@ class EvaluationReport:
 
     @classmethod
     def load(cls, path) -> "EvaluationReport":
-        try:
-            with open(path) as fh:
-                obj = json.load(fh)
-        except OSError as exc:
-            raise DataError(f"cannot read report {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise DataError(f"report {path} is not valid JSON: {exc}") from exc
+        obj = load_json(path, "report", DataError)
         try:
             return cls.from_mapping(obj)
         except (KeyError, TypeError) as exc:
@@ -157,8 +149,7 @@ def predict_segments(network: Network, topology: str, batch: SegmentBatch,
 def evaluate_subject(network: Network, topology: str, manifest: Manifest,
                      subject: str, split: str = "test",
                      layout: ElectrodeLayout | None = None,
-                     seed: int | None = None,
-                     decimation: str = "fir") -> EvaluationReport:
+                     seed: int | None = None) -> EvaluationReport:
     """Score every labeled clip of one subject/split and build the report.
 
     Each clip is preprocessed, forward-passed in inference mode (running
@@ -174,7 +165,7 @@ def evaluate_subject(network: Network, topology: str, manifest: Manifest,
     for rec in records:
         if rec.label == "unknown":
             raise DataError(f"{rec.path}: cannot evaluate an unlabeled clip")
-        segs = preprocess_clip(manifest.load_record(rec), decimation=decimation)
+        segs = preprocess_clip(manifest.load_record(rec))
         probs = predict_segments(network, topology, segs, layout)
         predictions.append(ClipPrediction(rec.path, LABEL_CODES[rec.label],
                                           [float(p) for p in probs],

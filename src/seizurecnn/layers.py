@@ -264,13 +264,12 @@ class BatchNorm(Layer):
 
     param_keys = ("gamma", "beta")
     buffer_keys = ("running_mean", "running_var")
+    momentum = 0.1
+    epsilon = 1e-5
 
-    def __init__(self, maps: int, momentum: float = 0.1, epsilon: float = 1e-5,
-                 name: str = "bn", dtype=DEFAULT_DTYPE):
+    def __init__(self, maps: int, name: str = "bn", dtype=DEFAULT_DTYPE):
         super().__init__(name)
         self.maps = int(maps)
-        self.momentum = float(momentum)
-        self.epsilon = float(epsilon)
         self.gamma = np.ones(maps, dtype=dtype)
         self.beta = np.zeros(maps, dtype=dtype)
         self.running_mean = np.zeros(maps, dtype=dtype)

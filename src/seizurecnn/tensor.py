@@ -1,4 +1,5 @@
-"""Dense arrays, seeded randomness, and parameter initialization.
+"""Dense arrays, seeded randomness, parameter initialization, and the
+array and JSON file codecs.
 
 Arrays throughout the toolkit are plain ``numpy`` ndarrays in C order:
 the first axis varies slowest, reshape never reorders memory, and the
@@ -12,11 +13,16 @@ labels of every split on the path from the root, so child streams are
 independent of their parent and of each other.  Draw sequences are
 reproducible across runs of the same build; bit-equality across numpy
 versions is not promised.
+
+JSON documents (manifests, layouts, run records, reports) are written
+indented with sorted keys and a trailing newline, so equal contents give
+equal bytes.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import zipfile
 from typing import Mapping
 
@@ -110,3 +116,22 @@ def load_arrays(path) -> dict[str, Tensor]:
     """Read arrays written by :func:`save_arrays` (any valid ``.npz`` works)."""
     with np.load(path) as npz:
         return {name: npz[name] for name in npz.files}
+
+
+def save_json(path, obj) -> None:
+    """Write one JSON document, indented, keys sorted, newline-terminated."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def load_json(path, what: str, error_cls: type[Exception]):
+    """Parse one JSON document; an unreadable file or invalid JSON raises
+    ``error_cls`` naming ``what`` and the path."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise error_cls(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise error_cls(f"{what} {path} is not valid JSON: {exc}") from exc

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConfigError, LayoutError
 from .layers import (BatchNorm, Conv, Dense, Dropout, Flatten, MaxPool,
                      Network, ReLU, Sigmoid)
-from .tensor import RngStream, Tensor
+from .tensor import RngStream, Tensor, load_json, save_json
 
 TOPOLOGIES = ("nv1x16", "nv4x4", "nv2x2x4")
 
@@ -149,19 +149,10 @@ class ElectrodeLayout:
 
     @classmethod
     def load(cls, path) -> "ElectrodeLayout":
-        try:
-            with open(path) as fh:
-                obj = json.load(fh)
-        except OSError as exc:
-            raise LayoutError(f"cannot read layout file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise LayoutError(f"layout file {path} is not valid JSON: {exc}") from exc
-        return cls.from_mapping(obj)
+        return cls.from_mapping(load_json(path, "layout file", LayoutError))
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_mapping(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        save_json(path, self.to_mapping())
 
     def content_hash(self) -> str:
         canonical = json.dumps(self.to_mapping(), sort_keys=True, separators=(",", ":"))

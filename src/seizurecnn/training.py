@@ -192,7 +192,6 @@ def batch_loss_and_grads(network: Network, x: Tensor, y: Tensor,
 class RunHistory:
     """Per-epoch training record, one row per completed epoch."""
     mean_loss: list[float]
-    test_auc: list[float] | None = None
 
     def __len__(self) -> int:
         return len(self.mean_loss)
@@ -200,14 +199,9 @@ class RunHistory:
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            if self.test_auc is None:
-                writer.writerow(["epoch", "mean_loss"])
-                for i, loss in enumerate(self.mean_loss, start=1):
-                    writer.writerow([i, repr(loss)])
-            else:
-                writer.writerow(["epoch", "mean_loss", "test_auc"])
-                for i, (loss, auc) in enumerate(zip(self.mean_loss, self.test_auc), start=1):
-                    writer.writerow([i, repr(loss), repr(auc)])
+            writer.writerow(["epoch", "mean_loss"])
+            for i, loss in enumerate(self.mean_loss, start=1):
+                writer.writerow([i, repr(loss)])
 
     @classmethod
     def from_csv(cls, path) -> "RunHistory":
@@ -215,21 +209,16 @@ class RunHistory:
             rows = list(csv.reader(fh))
         if not rows or rows[0][:2] != ["epoch", "mean_loss"]:
             raise ValueError(f"{path} is not a run history file")
-        has_auc = len(rows[0]) == 3
-        losses = [float(r[1]) for r in rows[1:]]
-        aucs = [float(r[2]) for r in rows[1:]] if has_auc else None
-        return cls(losses, aucs)
+        return cls([float(r[1]) for r in rows[1:]])
 
 
 def fit(network: Network, train, cfg: TrainConfig, rng: RngStream,
-        layout=None, epoch_hook=None) -> tuple[dict[str, Tensor], RunHistory]:
+        layout=None) -> tuple[dict[str, Tensor], RunHistory]:
     """Train a network on preprocessed segments.
 
     ``train`` carries ``segments`` of shape (n, 16, 3000) and per-segment
     ``labels`` in {0, 1}; nothing else of it is read, so no test data can
-    leak in. ``epoch_hook(epoch, network)``, when given, is called after
-    each epoch and its float return is logged as that epoch's test AUC
-    (reporting only, it influences nothing).
+    leak in.
 
     A non-finite batch loss or gradient raises TrainingDivergedError before
     that batch updates any parameter, so diverged parameters are never
@@ -255,7 +244,6 @@ def fit(network: Network, train, cfg: TrainConfig, rng: RngStream,
     adam = AdamState(network.params())
 
     mean_losses: list[float] = []
-    hook_values: list[float] = []
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(n)
         batch_losses = []
@@ -274,8 +262,5 @@ def fit(network: Network, train, cfg: TrainConfig, rng: RngStream,
             adam_step(network.params(), grads, adam, cfg)
             batch_losses.append(loss)
         mean_losses.append(float(np.mean(batch_losses)))
-        if epoch_hook is not None:
-            hook_values.append(float(epoch_hook(epoch, network)))
 
-    history = RunHistory(mean_losses, hook_values if epoch_hook is not None else None)
-    return network.state(), history
+    return network.state(), RunHistory(mean_losses)

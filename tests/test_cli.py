@@ -2,13 +2,15 @@
 
 import json
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from seizurecnn import cli, training
-from seizurecnn.data import Manifest, load_clip
+from seizurecnn.data import Manifest, load_clip, save_clip
+from seizurecnn.errors import TrainingDivergedError
 from seizurecnn.evaluation import EvaluationReport
 from seizurecnn.tensor import load_arrays, save_arrays
 from seizurecnn.topologies import ElectrodeLayout
@@ -37,6 +39,20 @@ def run_dir(runs_dir):
     return runs_dir / "synth01_nv1x16_s0000"
 
 
+@pytest.fixture(scope="module")
+def poisoned_dir(tmp_path_factory, dataset_dir):
+    """The dataset with one NaN sample in its first train and first test clip."""
+    root = tmp_path_factory.mktemp("poisoned")
+    shutil.copytree(dataset_dir, root, dirs_exist_ok=True)
+    manifest = Manifest.load(root / "manifest.json")
+    for split in ("train", "test"):
+        path = manifest.clip_path(manifest.select(split=split)[0])
+        clip = load_clip(path)
+        clip.samples[3, 100] = np.nan
+        save_clip(clip, path)
+    return root
+
+
 class TestSynth:
     def test_reports_counts(self, dataset_dir, capsys):
         # the fixture already ran the command; run again into a fresh dir
@@ -57,7 +73,7 @@ class TestTrain:
         assert run["topology"] == "nv1x16"
         assert run["seed"] == 0
         assert run["config"]["epochs"] == 1
-        assert run["decimation"] == "fir"
+        assert "decimation" not in run
         assert run["toolkit_version"]
         assert run["rng_algorithm"].startswith("philox")
         assert run["artifacts"]["parameters"] == "parameters.npz"
@@ -101,6 +117,28 @@ class TestTrain:
         assert len(printed) == 2
         assert (tmp_path / "synth01_nv1x16_s0001" / "run.json").exists()
         assert (tmp_path / "synth01_nv1x16_s0002" / "run.json").exists()
+
+    def test_failed_seed_does_not_hide_the_others(self, dataset_dir, tmp_path,
+                                                  monkeypatch, capsys):
+        original = cli.fit
+
+        def diverge_on_seed_one(network, train, cfg, *args, **kwargs):
+            if cfg.seed == 1:
+                raise TrainingDivergedError("non-finite loss nan at epoch 1, batch 1")
+            return original(network, train, cfg, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "fit", diverge_on_seed_one)
+        code = cli.main(["train", "--manifest", str(dataset_dir / "manifest.json"),
+                         "--subject", "synth01", "--epochs", "1",
+                         "--seeds", "0..2", "--out", str(tmp_path)])
+        assert code == 1
+        finished = ["synth01_nv1x16_s0000", "synth01_nv1x16_s0002"]
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [str(tmp_path / name) for name in finished]
+        assert captured.err.splitlines() == ["error: non-finite loss nan at epoch 1, batch 1"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == finished
+        for name in finished:
+            assert (tmp_path / name / "run.json").exists()
 
     @pytest.mark.parametrize("seeds", ["3", "5..2", "a..b", ".."])
     def test_bad_seed_ranges(self, dataset_dir, tmp_path, seeds):
@@ -222,6 +260,20 @@ class TestEvaluate:
         assert cli.main(["evaluate", "--run", str(clone)]) == 3
         assert not (clone / "report.json").exists()
 
+    def test_legacy_decimation_key(self, run_dir, tmp_path, capsys):
+        assert cli.main(["evaluate", "--run", str(run_dir)]) == 0
+        expected = (run_dir / "report.json").read_bytes()
+        run = json.loads((run_dir / "run.json").read_text())
+        for method, code in (("fir", 0), ("naive", 3)):
+            clone = tmp_path / method
+            clone.mkdir()
+            (clone / "parameters.npz").write_bytes((run_dir / "parameters.npz").read_bytes())
+            (clone / "run.json").write_text(json.dumps({**run, "decimation": method}))
+            assert cli.main(["evaluate", "--run", str(clone)]) == code
+        assert (tmp_path / "fir" / "report.json").read_bytes() == expected
+        assert not (tmp_path / "naive" / "report.json").exists()
+        assert str(tmp_path / "naive" / "run.json") in capsys.readouterr().err
+
     def test_missing_run_dir(self, tmp_path):
         assert cli.main(["evaluate", "--run", str(tmp_path / "nope")]) == 3
 
@@ -278,6 +330,54 @@ class TestPreprocess:
         assert np.max(np.abs(x.mean(axis=1))) < 1e-6
         assert cooked.layout_for("synth01") is not None
         assert "8 clips preprocessed" in capsys.readouterr().out
+
+    def test_recooks_cooked_clips(self, dataset_dir, tmp_path):
+        once, twice = tmp_path / "once", tmp_path / "twice"
+        for source, out in ((dataset_dir, once), (once, twice)):
+            assert cli.main(["preprocess", "--manifest", str(source / "manifest.json"),
+                             "--out", str(out)]) == 0
+        first = Manifest.load(once / "manifest.json")
+        second = Manifest.load(twice / "manifest.json")
+        assert len(second.clips) == 8
+        for a, b in zip(first.clips, second.clips):
+            clip = second.load_record(b)
+            assert (clip.sample_rate_hz, clip.n_samples) == (200.0, 12000)
+            x = clip.samples.astype(np.float64)
+            assert np.max(np.abs(x.mean(axis=1))) < 1e-6
+            assert np.max(np.abs(x.std(axis=1) - 1.0)) < 1e-5
+            assert np.max(np.abs(clip.samples - first.load_record(a).samples)) < 1e-5
+
+
+class TestNonFiniteSamples:
+    """A NaN sample is a data error (exit 3) for every command that reads it."""
+
+    def test_evaluate(self, run_dir, poisoned_dir, tmp_path, capsys):
+        clone = tmp_path / "clone"
+        clone.mkdir()
+        for name in ("run.json", "parameters.npz"):
+            (clone / name).write_bytes((run_dir / name).read_bytes())
+        assert cli.main(["evaluate", "--run", str(clone),
+                         "--manifest", str(poisoned_dir / "manifest.json")]) == 3
+        assert "NaN or infinite sample" in capsys.readouterr().err
+        assert not (clone / "report.json").exists()
+
+    def test_predict(self, run_dir, poisoned_dir, capsys):
+        manifest = Manifest.load(poisoned_dir / "manifest.json")
+        path = manifest.clip_path(manifest.select(split="test")[0])
+        assert cli.main(["predict", "--run", str(run_dir), str(path)]) == 3
+        assert capsys.readouterr().out == ""
+
+    def test_train(self, poisoned_dir, tmp_path):
+        code = cli.main(["train", "--manifest", str(poisoned_dir / "manifest.json"),
+                         "--subject", "synth01", "--epochs", "1", "--out", str(tmp_path)])
+        assert code == 3
+        assert list(tmp_path.iterdir()) == []
+
+    def test_preprocess(self, poisoned_dir, tmp_path):
+        code = cli.main(["preprocess", "--manifest", str(poisoned_dir / "manifest.json"),
+                         "--out", str(tmp_path)])
+        assert code == 3
+        assert not (tmp_path / "manifest.json").exists()
 
 
 class TestReport:

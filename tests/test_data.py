@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from seizurecnn.data import (Clip, ClipRecord, Manifest, SegmentBatch,
-                             bandpower_score, decimate, generate_synthetic,
+                             bandpower_score, cook, decimate, generate_synthetic,
                              load_clip, load_split_segments, preprocess_clip,
                              save_clip, segment, split_train_validation,
                              znormalize, _burst_envelope, _colored_noise)
@@ -26,11 +26,10 @@ class TestClipIO:
         clip = noise_clip(label=label)
         path = tmp_path / "a.clip"
         save_clip(clip, path)
-        back = load_clip(path, subject_id="s1", split="train")
+        back = load_clip(path)
         assert np.array_equal(back.samples, clip.samples)
         assert back.sample_rate_hz == clip.sample_rate_hz
         assert back.label == label
-        assert back.subject_id == "s1" and back.split == "train"
 
     def test_short_file(self, tmp_path):
         path = tmp_path / "a.clip"
@@ -84,6 +83,15 @@ class TestClipIO:
         with pytest.raises(DataError):
             load_clip(tmp_path / "absent.clip")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample(self, tmp_path, bad):
+        clip = noise_clip()
+        clip.samples[7, 1234] = bad
+        path = tmp_path / "a.clip"
+        save_clip(clip, path)
+        with pytest.raises(ClipFormatError, match="a.clip"):
+            load_clip(path)
+
     def test_clip_validation(self):
         with pytest.raises(DataError):
             Clip(np.zeros(10), 400.0)
@@ -119,11 +127,6 @@ class TestDecimate:
         in_rms = np.sqrt(np.mean(tone ** 2))
         assert np.sqrt(np.mean(mid ** 2)) < 0.05 * in_rms
 
-    def test_naive_takes_every_second_sample(self):
-        clip = noise_clip(6000)
-        out = decimate(clip, method="naive")
-        assert np.array_equal(out.samples, clip.samples[:, ::2])
-
     def test_odd_length_rejected(self):
         with pytest.raises(DataError):
             decimate(noise_clip(5999))
@@ -131,10 +134,6 @@ class TestDecimate:
     def test_wrong_rate_rejected(self):
         with pytest.raises(DataError):
             decimate(noise_clip(rate=200.0))
-
-    def test_unknown_method(self):
-        with pytest.raises(ConfigError):
-            decimate(noise_clip(), method="polyphase")
 
 
 class TestZnormalize:
@@ -157,10 +156,9 @@ class TestZnormalize:
         assert np.max(np.abs(twice.samples - once.samples)) < 1e-6
 
     def test_metadata_preserved(self):
-        clip = Clip(np.ones((16, 3000)), 200.0, "preictal", "s9", "test")
+        clip = Clip(np.ones((16, 3000)), 200.0, "preictal")
         out = znormalize(clip)
-        assert (out.label, out.subject_id, out.split, out.sample_rate_hz) == \
-            ("preictal", "s9", "test", 200.0)
+        assert (out.label, out.sample_rate_hz) == ("preictal", 200.0)
 
 
 class TestSegment:
@@ -208,6 +206,7 @@ class TestPreprocessClip:
         clip = noise_clip(24000)
         direct = preprocess_clip(clip, clip_id=5)
         manual = segment(znormalize(decimate(clip)), clip_id=5)
+        assert np.array_equal(cook(clip).samples, znormalize(decimate(clip)).samples)
         assert np.array_equal(direct.segments, manual.segments)
         assert np.array_equal(direct.clip_ids, manual.clip_ids)
 
@@ -215,6 +214,7 @@ class TestPreprocessClip:
         clip = noise_clip(6000, rate=200.0)
         direct = preprocess_clip(clip)
         manual = segment(znormalize(clip))
+        assert np.array_equal(cook(clip).samples, znormalize(clip).samples)
         assert np.array_equal(direct.segments, manual.segments)
 
     def test_unsupported_rate(self):
