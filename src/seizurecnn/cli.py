@@ -11,7 +11,9 @@ history.csv and run.json; evaluate adds report.json and roc.csv beside
 them. run.json records the resolved config, the data manifest path, the
 layout content hash and the toolkit and RNG identifiers, so a run can be
 re-evaluated long after the fact and a stale layout is caught instead of
-silently mis-gridding channels.
+silently mis-gridding channels. A run is written into a fresh hidden
+``*.tmp`` directory and swapped in whole, so a retrain replaces every
+file of an earlier run and a failed one leaves the earlier run as it was.
 
 Training several seeds at once honors SEIZURECNN_WORKERS (default 1)
 with one process per seed. Every seed runs even when another fails: each
@@ -22,8 +24,11 @@ and the exit code is that of the first failed seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
+import shutil
 import sys
+import tempfile
 import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -95,6 +100,8 @@ def _load_config(args) -> TrainConfig:
         keys["topology"] = args.topology
     if getattr(args, "epochs", None) is not None:
         keys["epochs"] = args.epochs
+    if getattr(args, "seed", None) is not None:
+        keys["seed"] = args.seed
     return TrainConfig.from_mapping(keys)
 
 
@@ -104,7 +111,8 @@ def _require_subject(manifest: Manifest, subject: str) -> None:
             f"unknown subject {subject!r}; manifest has {manifest.subjects()}")
 
 
-def _parse_seeds(args) -> list[int]:
+def _parse_seeds(args, seed: int) -> list[int]:
+    """The ``--seeds`` range, else the one configured seed."""
     if args.seeds:
         lo, sep, hi = args.seeds.partition("..")
         if not sep or not lo.isdigit() or not hi.isdigit():
@@ -113,7 +121,7 @@ def _parse_seeds(args) -> list[int]:
         if hi < lo:
             raise ConfigError(f"--seeds range is empty: {args.seeds}")
         return list(range(lo, hi + 1))
-    return [args.seed]
+    return [seed]
 
 
 def _worker_count() -> int:
@@ -143,16 +151,28 @@ def _train_one(cfg_mapping: dict, manifest_path: str, subject: str, out: str) ->
     state, history = fit(network, train_batch, cfg, run_rng.split("fit"), layout=layout)
 
     run_dir = _run_dir(Path(out), subject, cfg.topology, cfg.seed)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    save_arrays(run_dir / PARAMS_FILE, state)
-    history.to_csv(run_dir / HISTORY_FILE)
-    RunManifest(
-        subject=subject, topology=cfg.topology, seed=cfg.seed,
-        config=cfg.to_mapping(), data_manifest=str(manifest_path),
-        layout_sha256=layout.content_hash() if layout is not None else None,
-        artifacts={"parameters": PARAMS_FILE, "history": HISTORY_FILE,
-                   "report": REPORT_FILE, "roc": ROC_FILE},
-    ).save(run_dir / RUN_FILE)
+    run_dir.parent.mkdir(parents=True, exist_ok=True)
+    # hidden and ending in .tmp, so no run directory name can match it
+    work = Path(tempfile.mkdtemp(prefix=f".{run_dir.name}-", suffix=".tmp",
+                                 dir=run_dir.parent))
+    try:
+        new = work / "new"
+        new.mkdir()
+        save_arrays(new / PARAMS_FILE, state)
+        history.to_csv(new / HISTORY_FILE)
+        RunManifest(
+            subject=subject, topology=cfg.topology, seed=cfg.seed,
+            config=cfg.to_mapping(), data_manifest=str(manifest_path),
+            layout_sha256=layout.content_hash() if layout is not None else None,
+            artifacts={"parameters": PARAMS_FILE, "history": HISTORY_FILE,
+                       "report": REPORT_FILE, "roc": ROC_FILE},
+        ).save(new / RUN_FILE)
+        # os.replace cannot overwrite a non-empty directory: move the old run aside
+        if run_dir.exists():
+            os.replace(run_dir, work / "old")
+        os.replace(new, run_dir)
+    finally:
+        shutil.rmtree(work)
     return str(run_dir)
 
 
@@ -171,7 +191,7 @@ def cmd_train(args) -> int:
     manifest = Manifest.load(args.manifest)
     _require_subject(manifest, args.subject)
     jobs = [(cfg.replace(seed=s).to_mapping(), str(args.manifest), args.subject,
-             str(args.out)) for s in _parse_seeds(args)]
+             str(args.out)) for s in _parse_seeds(args, cfg.seed)]
     workers = min(_worker_count(), len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers,
@@ -239,7 +259,7 @@ def _rebase(manifest: Manifest, records, out_dir: Path) -> Manifest:
     rebased = []
     for r in records:
         rel = os.path.relpath(manifest.clip_path(r), out_dir)
-        rebased.append(type(r)(rel, r.subject, r.label, r.split, r.group))
+        rebased.append(dataclasses.replace(r, path=rel))
     layouts = {s: os.path.relpath(manifest.base / p, out_dir)
                for s, p in manifest.layouts.items()}
     return Manifest(rebased, layouts, base=out_dir)
@@ -266,12 +286,14 @@ def cmd_preprocess(args) -> int:
     out = Path(args.out)
     (out / "clips").mkdir(parents=True, exist_ok=True)
     (out / "layouts").mkdir(parents=True, exist_ok=True)
+    # an earlier manifest must not vouch for a mix of old and new clips
+    (out / "manifest.json").unlink(missing_ok=True)
     records = []
     for rec in manifest.clips:
         cooked = cook(manifest.load_record(rec))
         rel = f"clips/{Path(rec.path).name}"
         save_clip(cooked, out / rel)
-        records.append(type(rec)(rel, rec.subject, rec.label, rec.split, rec.group))
+        records.append(dataclasses.replace(rec, path=rel))
     layouts = {}
     for subject, path in manifest.layouts.items():
         layout = manifest.layout_for(subject)
@@ -299,22 +321,20 @@ def cmd_report(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    groups = [aggregate_runs(group) for _, group in sorted(reports.items())]
-    save_json(out / "aggregates.json",
-              {"groups": [g.to_mapping() for g in groups], "skipped": sorted(skipped)})
+    groups = {key: aggregate_runs(group) for key, group in sorted(reports.items())}
+    save_json(out / "aggregates.json", {"groups": [g.to_mapping() for g in groups.values()],
+                                        "skipped": sorted(skipped)})
 
     # mean-AUC grid, subjects down, topologies across
     subjects = sorted({s for s, _ in reports})
     with open(out / "auc_table.csv", "w") as fh:
         fh.write("subject," + ",".join(TOPOLOGIES) + "\n")
         for subject in subjects:
-            cells = []
-            for topology in TOPOLOGIES:
-                group = reports.get((subject, topology))
-                cells.append(f"{aggregate_runs(group).mean:.6f}" if group else "")
+            cells = [f"{groups[subject, t].mean:.6f}" if (subject, t) in groups else ""
+                     for t in TOPOLOGIES]
             fh.write(subject + "," + ",".join(cells) + "\n")
 
-    for g in groups:
+    for g in groups.values():
         print(f"{g.subject} {g.topology}: n={len(g.aucs)} mean={g.mean:.4f} "
               f"min={g.minimum:.4f} q1={g.q1:.4f} median={g.median:.4f} "
               f"q3={g.q3:.4f} max={g.maximum:.4f}")
@@ -359,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subject", required=True)
     p.add_argument("--topology", choices=TOPOLOGIES)
     p.add_argument("--epochs", type=int, help="override the configured epoch count")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int,
+                   help="override the config file's seed (default: that seed, else 0)")
     p.add_argument("--seeds", help="inclusive range A..B, one run per seed")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)

@@ -85,7 +85,8 @@ def save_clip(clip: Clip, path) -> None:
 
 
 def load_clip(path) -> Clip:
-    """Read one clip file; a NaN or infinite sample is a format error."""
+    """Read one clip file; a NaN or infinite sample, or a sample rate that
+    is not positive and finite, is a format error."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -101,6 +102,8 @@ def load_clip(path) -> Clip:
         raise UnsupportedVersionError(f"{path}: unsupported clip version {version}")
     if label_code not in CODE_LABELS:
         raise ClipFormatError(f"{path}: unknown label code {label_code}")
+    if not (math.isfinite(rate) and rate > 0):
+        raise ClipFormatError(f"{path}: sample rate {rate} Hz is not positive and finite")
     expected = n_channels * n_samples * 4
     payload = raw[_HEADER.size:]
     if len(payload) != expected:
@@ -297,7 +300,7 @@ class Manifest:
     def load(cls, path) -> "Manifest":
         path = Path(path)
         obj = load_json(path, "manifest", ManifestError)
-        if not isinstance(obj, dict) or "clips" not in obj:
+        if not isinstance(obj, dict) or not isinstance(obj.get("clips"), list):
             raise ManifestError(f"manifest {path} must be a mapping with a clips list")
         records = []
         for row in obj["clips"]:
@@ -306,13 +309,16 @@ class Manifest:
             unknown = set(row) - {"path", "subject", "label", "split", "group"}
             if unknown:
                 raise ManifestError(f"manifest {path}: unknown clip keys {sorted(unknown)}")
+            if not all(isinstance(v, str) for v in row.values()):
+                raise ManifestError(f"manifest {path}: clip fields must be strings, got {row}")
             try:
                 records.append(ClipRecord(row["path"], row["subject"], row["label"],
                                           row["split"], row.get("group")))
             except KeyError as exc:
                 raise ManifestError(f"manifest {path}: clip row missing {exc}") from exc
         layouts = obj.get("layouts", {})
-        if not isinstance(layouts, dict):
+        if not isinstance(layouts, dict) or \
+                not all(isinstance(p, str) for p in layouts.values()):
             raise ManifestError(f"manifest {path}: layouts must map subject to file path")
         return cls(records, layouts, base=path.parent)
 

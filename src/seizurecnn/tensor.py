@@ -133,5 +133,5 @@ def load_json(path, what: str, error_cls: type[Exception]):
             return json.load(fh)
     except OSError as exc:
         raise error_cls(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, nesting too deep
         raise error_cls(f"{what} {path} is not valid JSON: {exc}") from exc

@@ -15,9 +15,12 @@ batch norm on the raw input and followed by a shared dense head
 (dropout 0.2, 64 hidden units, dropout 0.5, sigmoid output).  Counting
 everything except the flatten reshape gives 31 layers.
 
-ElectrodeLayout says which grid cell each channel occupies.  nv1x16
-ignores it, nv4x4 needs strip and contact, nv2x2x4 additionally needs
-hemisphere assignments.
+Each topology is one row of GRIDS: its spatial grid ahead of the time
+axis and the ElectrodeLayout coordinates that index that grid, outermost
+first.  Sorting the channels by those coordinates puts them in grid
+order: nv1x16 uses none and ignores the layout, nv4x4 sorts by strip and
+contact, and nv2x2x4 by hemisphere, strip and contact.  Each hemisphere
+holds two whole strips, so the sort ranks a strip within its hemisphere.
 """
 
 from __future__ import annotations
@@ -33,10 +36,16 @@ from .layers import (BatchNorm, Conv, Dense, Dropout, Flatten, MaxPool,
                      Network, ReLU, Sigmoid)
 from .tensor import RngStream, Tensor, load_json, save_json
 
-TOPOLOGIES = ("nv1x16", "nv4x4", "nv2x2x4")
-
 N_CHANNELS = 16
 SEGMENT_SAMPLES = 3000
+
+#: per topology: (spatial grid ahead of time, layout coordinates indexing it)
+GRIDS = {
+    "nv1x16": ((N_CHANNELS,), ()),
+    "nv4x4": ((4, 4), ("strips", "contacts")),
+    "nv2x2x4": ((2, 2, 4), ("hemispheres", "strips", "contacts")),
+}
+TOPOLOGIES = tuple(GRIDS)
 
 #: per block: (time kernel extent, time pool extent, feature maps out)
 TIME_BLOCKS = ((5, 5, 16), (5, 5, 32), (5, 5, 32), (4, 4, 64), (3, 3, 64), (2, 2, 128))
@@ -48,14 +57,9 @@ DROPOUT_HIDDEN = 0.5
 
 def input_grid(topology: str) -> tuple[int, ...]:
     """Spatial input shape (time last) for one topology."""
-    grids = {
-        "nv1x16": (N_CHANNELS, SEGMENT_SAMPLES),
-        "nv4x4": (4, 4, SEGMENT_SAMPLES),
-        "nv2x2x4": (2, 2, 4, SEGMENT_SAMPLES),
-    }
-    if topology not in grids:
+    if topology not in GRIDS:
         raise ConfigError(f"unknown topology {topology!r}, expected one of {TOPOLOGIES}")
-    return grids[topology]
+    return GRIDS[topology][0] + (SEGMENT_SAMPLES,)
 
 
 class ElectrodeLayout:
@@ -99,10 +103,6 @@ class ElectrodeLayout:
             n = sum(1 for h in strip_hemi.values() if h == hemi)
             if n != 2:
                 raise LayoutError(f"hemisphere {hemi} has {n} strips, expected 2")
-
-    @property
-    def has_hemispheres(self) -> bool:
-        return self.hemispheres is not None
 
     @classmethod
     def default(cls) -> "ElectrodeLayout":
@@ -164,42 +164,19 @@ class ElectrodeLayout:
         return (self.strips, self.contacts, self.hemispheres) == \
             (other.strips, other.contacts, other.hemispheres)
 
-    def strip_within_hemisphere(self, channel: int) -> int:
-        """0 or 1: rank of the channel's strip among its hemisphere's strips."""
-        if self.hemispheres is None:
-            raise LayoutError("layout has no hemisphere assignments")
-        hemi = self.hemispheres[channel]
-        strips = sorted({s for s, h in zip(self.strips, self.hemispheres) if h == hemi})
-        return strips.index(self.strips[channel])
 
-    def grid_channels(self, topology: str) -> np.ndarray:
-        """Channel index occupying each grid cell, flattened row-major."""
-        if topology == "nv1x16":
-            return np.arange(N_CHANNELS)
-        if topology == "nv4x4":
-            order = np.full(16, -1)
-            for ch in range(N_CHANNELS):
-                order[self.strips[ch] * 4 + self.contacts[ch]] = ch
-            return order
-        if topology == "nv2x2x4":
-            if self.hemispheres is None:
-                raise LayoutError("nv2x2x4 needs hemisphere assignments in the layout")
-            order = np.full(16, -1)
-            for ch in range(N_CHANNELS):
-                cell = (self.hemispheres[ch] * 2 + self.strip_within_hemisphere(ch)) * 4 \
-                    + self.contacts[ch]
-                order[cell] = ch
-            return order
-        raise ConfigError(f"unknown topology {topology!r}, expected one of {TOPOLOGIES}")
-
-
-def _require_layout(topology: str, layout: ElectrodeLayout | None) -> None:
-    if topology == "nv1x16":
-        return
+def channel_order(topology: str, layout: ElectrodeLayout | None) -> np.ndarray | None:
+    """Channel index occupying each grid cell, flattened row-major: the
+    channels sorted by the topology's layout coordinates, outermost first.
+    None for a grid no coordinate indexes, which keeps the channel order."""
+    coords = GRIDS[topology][1]
+    if not coords:
+        return None
     if layout is None:
         raise LayoutError(f"{topology} needs an electrode layout")
-    if topology == "nv2x2x4" and not layout.has_hemispheres:
-        raise LayoutError("nv2x2x4 needs hemisphere assignments in the layout")
+    if layout.hemispheres is None and "hemispheres" in coords:
+        raise LayoutError(f"{topology} needs hemisphere assignments in the layout")
+    return np.lexsort([getattr(layout, c) for c in reversed(coords)])
 
 
 def reshape_batch(segments: Tensor, topology: str,
@@ -214,10 +191,9 @@ def reshape_batch(segments: Tensor, topology: str,
         raise ValueError(
             f"expected (n, {N_CHANNELS}, {SEGMENT_SAMPLES}) segments, got {segments.shape}")
     grid = input_grid(topology)
-    if topology == "nv1x16":
+    order = channel_order(topology, layout)
+    if order is None:
         return segments
-    _require_layout(topology, layout)
-    order = layout.grid_channels(topology)
     return segments[:, order, :].reshape((segments.shape[0],) + grid)
 
 
@@ -289,7 +265,7 @@ def build_topology(topology: str, layout: ElectrodeLayout | None,
     seed or layout.
     """
     grid = input_grid(topology)
-    _require_layout(topology, layout)
+    channel_order(topology, layout)  # raises on a layout this grid cannot use
     init = rng.split("init")
 
     layers: list = [BatchNorm(1, name="bn_in")]

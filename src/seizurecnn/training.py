@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateTrainingSetError, TrainingDivergedError
 from .layers import TRAIN, Network
 from .tensor import RngStream, Tensor
-from .topologies import TOPOLOGIES, reshape_batch
+from .topologies import input_grid, reshape_batch
 
 BCE_CLAMP = 1e-7
 
@@ -46,8 +46,7 @@ class TrainConfig:
     class_weighting: str = "balanced"
 
     def validate(self) -> "TrainConfig":
-        if self.topology not in TOPOLOGIES:
-            raise ConfigError(f"unknown topology {self.topology!r}, expected one of {TOPOLOGIES}")
+        input_grid(self.topology)  # the one check for an unknown topology
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if self.epochs < 1:

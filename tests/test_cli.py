@@ -167,6 +167,73 @@ class TestTrain:
         assert run["config"]["epochs"] == 1
         assert run["config"]["batch_size"] == 8
 
+    def test_config_seed_used_without_flag(self, dataset_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 5, "epochs": 1}))
+        args = ["train", "--config", str(cfg), "--manifest", str(dataset_dir / "manifest.json"),
+                "--subject", "synth01", "--out", str(tmp_path / "runs")]
+        assert cli.main(args) == 0
+        assert cli.main(args + ["--seed", "2"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            str(tmp_path / "runs" / "synth01_nv1x16_s0005"),
+            str(tmp_path / "runs" / "synth01_nv1x16_s0002")]
+        run = json.loads((tmp_path / "runs" / "synth01_nv1x16_s0005" / "run.json").read_text())
+        assert run["seed"] == 5
+
+    def trained_and_evaluated(self, dataset_dir, out):
+        assert cli.main(["train", "--manifest", str(dataset_dir / "manifest.json"),
+                         "--subject", "synth01", "--epochs", "1", "--seed", "0",
+                         "--out", str(out)]) == 0
+        run = out / "synth01_nv1x16_s0000"
+        assert cli.main(["evaluate", "--run", str(run)]) == 0
+        return run
+
+    def retrain_args(self, dataset_dir, tmp_path):
+        """A retrain of seed 0 with another config, so its parameters differ."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"batch_size": 8}))
+        return ["train", "--config", str(cfg), "--manifest", str(dataset_dir / "manifest.json"),
+                "--subject", "synth01", "--epochs", "1", "--seed", "0",
+                "--out", str(tmp_path / "runs")]
+
+    def test_retrain_replaces_run_directory(self, dataset_dir, tmp_path):
+        run = self.trained_and_evaluated(dataset_dir, tmp_path / "runs")
+        old_params = (run / "parameters.npz").read_bytes()
+        assert cli.main(self.retrain_args(dataset_dir, tmp_path)) == 0
+        assert sorted(p.name for p in run.iterdir()) == [
+            "history.csv", "parameters.npz", "run.json"]
+        assert (run / "parameters.npz").read_bytes() != old_params
+        assert [p.name for p in (tmp_path / "runs").iterdir()] == [run.name]
+
+    def test_failed_retrain_keeps_earlier_run(self, dataset_dir, tmp_path, monkeypatch):
+        run = self.trained_and_evaluated(dataset_dir, tmp_path / "runs")
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+
+        def full_disk(self, path):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(training.RunHistory, "to_csv", full_disk)
+        with pytest.raises(OSError, match="no space left"):
+            cli.main(self.retrain_args(dataset_dir, tmp_path))
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+        assert [p.name for p in (tmp_path / "runs").iterdir()] == [run.name]
+
+    @pytest.mark.parametrize("mutate", [
+        lambda doc: doc.update(clips=5),
+        lambda doc: doc["clips"][0].update(path=5),
+        lambda doc: doc["clips"][0].update(subject=["synth01"]),
+        lambda doc: doc["layouts"].update(synth01=7),
+    ], ids=["clips", "path", "subject", "layout"])
+    def test_malformed_manifest(self, dataset_dir, tmp_path, capsys, mutate):
+        doc = json.loads((dataset_dir / "manifest.json").read_text())
+        mutate(doc)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["train", "--manifest", str(path), "--subject", "synth01",
+                         "--epochs", "1", "--out", str(tmp_path / "runs")])
+        assert code == 3
+        assert str(path) in capsys.readouterr().err
+
     def test_invalid_worker_env(self, dataset_dir, tmp_path, monkeypatch):
         for bad in ("zero?", "0"):
             monkeypatch.setenv(cli.WORKERS_ENV, bad)
@@ -346,6 +413,23 @@ class TestPreprocess:
             assert np.max(np.abs(x.mean(axis=1))) < 1e-6
             assert np.max(np.abs(x.std(axis=1) - 1.0)) < 1e-5
             assert np.max(np.abs(clip.samples - first.load_record(a).samples)) < 1e-5
+
+
+    def test_failed_rerun_leaves_no_manifest(self, dataset_dir, tmp_path):
+        out = tmp_path / "cooked"
+        assert cli.main(["preprocess", "--manifest", str(dataset_dir / "manifest.json"),
+                         "--out", str(out)]) == 0
+        source = tmp_path / "source"
+        shutil.copytree(dataset_dir, source)
+        manifest = Manifest.load(source / "manifest.json")
+        assert len(manifest.clips) == 8
+        path = manifest.clip_path(manifest.clips[3])
+        clip = load_clip(path)
+        clip.samples[0, 0] = np.nan
+        save_clip(clip, path)
+        assert cli.main(["preprocess", "--manifest", str(source / "manifest.json"),
+                         "--out", str(out)]) == 3
+        assert not (out / "manifest.json").exists()
 
 
 class TestNonFiniteSamples:

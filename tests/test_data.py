@@ -1,14 +1,17 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from seizurecnn.data import (Clip, ClipRecord, Manifest, SegmentBatch,
-                             bandpower_score, cook, decimate, generate_synthetic,
+from seizurecnn.data import (CLIP_MAGIC, CLIP_VERSION, Clip, ClipRecord, Manifest,
+                             SegmentBatch, bandpower_score, cook, decimate, generate_synthetic,
                              load_clip, load_split_segments, preprocess_clip,
                              save_clip, segment, split_train_validation,
-                             znormalize, _burst_envelope, _colored_noise)
+                             znormalize, _HEADER, _burst_envelope, _colored_noise)
 from seizurecnn.errors import (BadMagicError, ClipFormatError, ConfigError,
                                DataError, ManifestError, PayloadLengthError,
                                UnsupportedVersionError)
@@ -280,6 +283,13 @@ class TestManifest:
         with pytest.raises(ManifestError):
             Manifest.load(path)
 
+    @pytest.mark.parametrize("raw", [b"\x80", b"[" * 100_000], ids=["utf8", "nesting"])
+    def test_undecodable_file(self, tmp_path, raw):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(raw)
+        with pytest.raises(ManifestError, match="not valid JSON"):
+            Manifest.load(path)
+
     def test_select_filters(self, tmp_path):
         manifest = toy_manifest(tmp_path)
         assert len(manifest.select(split="train")) == 4
@@ -305,6 +315,105 @@ class TestManifest:
 
     def test_layout_for_absent_subject(self, tmp_path):
         assert toy_manifest(tmp_path).layout_for("s1") is None
+
+
+# fuzzing: a parser returns a well-formed value or raises its own error,
+# never anything else; the temporary file is rewritten for every example
+FUZZ = settings(max_examples=300, deadline=None, derandomize=True,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=4),
+    max_leaves=12)
+
+def valid_manifest_doc() -> dict:
+    return {"clips": [
+        {"path": "a.clip", "subject": "s1", "label": "preictal", "split": "train",
+         "group": "g1"},
+        {"path": "b.clip", "subject": "s1", "label": "unknown", "split": "test"}],
+        "layouts": {"s1": "layouts/s1.json"}}
+
+
+def field_paths(doc) -> list[tuple]:
+    """Every key path into ``doc``: top-level keys, row fields, layout entries."""
+    paths = [(key,) for key in doc]
+    paths += [("clips", i, key) for i, row in enumerate(doc["clips"]) for key in row]
+    paths += [("layouts", subject) for subject in doc["layouts"]]
+    return paths
+
+
+class TestParserFuzz:
+    def check_clip(self, path):
+        try:
+            clip = load_clip(path)
+        except DataError:
+            return
+        assert math.isfinite(clip.sample_rate_hz) and clip.sample_rate_hz > 0
+        assert np.isfinite(clip.samples).all()
+
+    def check_manifest(self, path):
+        try:
+            manifest = Manifest.load(path)
+        except ManifestError:
+            return
+        for r in manifest.clips:
+            assert all(isinstance(v, str) for v in (r.path, r.subject, r.label, r.split))
+            assert r.group is None or isinstance(r.group, str)
+        assert all(isinstance(p, str) for p in manifest.layouts.values())
+
+    @FUZZ
+    @given(raw=st.binary(max_size=64))
+    def test_clip_arbitrary_bytes(self, tmp_path, raw):
+        path = tmp_path / "fuzz.clip"
+        path.write_bytes(raw)
+        self.check_clip(path)
+
+    @FUZZ
+    @given(magic=st.sampled_from([CLIP_MAGIC, b"PLCI"]),
+           version=st.sampled_from([CLIP_VERSION, 0, 2, 65535]),
+           channels=st.integers(0, 65535), samples=st.integers(0, 2 ** 32 - 1),
+           rate=st.floats(width=32), label=st.integers(0, 255),
+           reserved=st.integers(0, 255), payload=st.sampled_from([0, 4, 16, 64]))
+    def test_clip_mutated_header(self, tmp_path, magic, version, channels, samples,
+                                 rate, label, reserved, payload):
+        body = np.linspace(-1.0, 1.0, payload, dtype="<f4").tobytes()
+        path = tmp_path / "fuzz.clip"
+        path.write_bytes(_HEADER.pack(magic, version, channels, samples, rate, label,
+                                      reserved) + body)
+        self.check_clip(path)
+
+    @FUZZ
+    @given(raw=st.binary(max_size=64))
+    def test_manifest_arbitrary_bytes(self, tmp_path, raw):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(raw)
+        self.check_manifest(path)
+
+    @FUZZ
+    @given(value=JSON_VALUES)
+    def test_manifest_arbitrary_json(self, tmp_path, value):
+        path = tmp_path / "manifest.json"
+        for doc in (value, {"clips": value}, {"clips": [value]}):
+            path.write_text(json.dumps(doc))
+            self.check_manifest(path)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_manifest_single_field_mutation(self, tmp_path, data):
+        doc = valid_manifest_doc()
+        *parents, key = data.draw(st.sampled_from(field_paths(doc)))
+        target = doc
+        for step in parents:
+            target = target[step]
+        if data.draw(st.booleans()):
+            del target[key]
+        else:
+            target[key] = data.draw(JSON_VALUES)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        self.check_manifest(path)
 
 
 def counts_manifest(n_interictal, n_preictal, subject="s1", group_size=None):

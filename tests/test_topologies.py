@@ -27,7 +27,7 @@ class TestElectrodeLayout:
         assert layout.strips == tuple(c // 4 for c in range(16))
         assert layout.contacts == tuple(c % 4 for c in range(16))
         assert layout.hemispheres == tuple(c // 8 for c in range(16))
-        assert layout.has_hemispheres
+        assert layout.hemispheres is not None
 
     def test_mapping_round_trip(self):
         layout = shuffled_layout(3)
@@ -45,7 +45,7 @@ class TestElectrodeLayout:
 
     def test_hemispheres_optional(self):
         layout = ElectrodeLayout([c // 4 for c in range(16)], [c % 4 for c in range(16)])
-        assert not layout.has_hemispheres
+        assert layout.hemispheres is None
         doc = layout.to_mapping()
         assert "hemisphere" not in doc["0"]
         assert ElectrodeLayout.from_mapping(doc) == layout
@@ -102,18 +102,6 @@ class TestElectrodeLayout:
         with pytest.raises(LayoutError):
             ElectrodeLayout.load(path)
 
-    def test_strip_within_hemisphere(self):
-        layout = ElectrodeLayout.default()
-        assert layout.strip_within_hemisphere(0) == 0   # strip 0 of {0, 1}
-        assert layout.strip_within_hemisphere(4) == 1   # strip 1 of {0, 1}
-        assert layout.strip_within_hemisphere(8) == 0   # strip 2 of {2, 3}
-        assert layout.strip_within_hemisphere(12) == 1
-
-    def test_strip_within_hemisphere_needs_hemispheres(self):
-        layout = ElectrodeLayout([c // 4 for c in range(16)], [c % 4 for c in range(16)])
-        with pytest.raises(LayoutError):
-            layout.strip_within_hemisphere(0)
-
 
 class TestReshape:
     def segments(self, n=3, seed=0):
@@ -139,21 +127,27 @@ class TestReshape:
         assert np.array_equal(reshape_batch(segs, "nv2x2x4", layout),
                               segs.reshape(3, 2, 2, 4, 3000))
 
-    def test_permuted_layout_places_channels(self):
+    @pytest.mark.parametrize("seed", range(50))
+    def test_permuted_layout_places_channels(self, seed):
         segs = self.segments()
-        layout = shuffled_layout(7)
+        layout = shuffled_layout(seed)
         grid = reshape_batch(segs, "nv4x4", layout)
         for ch in range(16):
             assert np.array_equal(grid[:, layout.strips[ch], layout.contacts[ch], :],
                                   segs[:, ch, :])
 
-    def test_hemisphere_grid_places_channels(self):
+    @pytest.mark.parametrize("seed", range(50))
+    def test_hemisphere_grid_places_channels(self, seed):
         segs = self.segments()
-        layout = shuffled_layout(8)
+        layout = shuffled_layout(seed)
         grid = reshape_batch(segs, "nv2x2x4", layout)
         for ch in range(16):
-            cell = (layout.hemispheres[ch], layout.strip_within_hemisphere(ch),
-                    layout.contacts[ch])
+            hemi = layout.hemispheres[ch]
+            # rank of the channel's strip among the two strips of its hemisphere
+            rank = sum(1 for s in set(layout.strips)
+                       if s < layout.strips[ch]
+                       and layout.hemispheres[layout.strips.index(s)] == hemi)
+            cell = (hemi, rank, layout.contacts[ch])
             assert np.array_equal(grid[(slice(None),) + cell + (slice(None),)],
                                   segs[:, ch, :])
 
