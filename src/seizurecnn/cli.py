@@ -281,24 +281,35 @@ def cmd_split(args) -> int:
     return 0
 
 
+def _cooked_names(folder: str, sources: list[Path]) -> list[str]:
+    """``folder/<file name>`` for each source file, or a DataError naming
+    two different sources that would be written to one name."""
+    names = [f"{folder}/{src.name}" for src in sources]
+    taken: dict[str, Path] = {}
+    for src, rel in zip(sources, names):
+        if taken.setdefault(rel, src) != src:
+            raise DataError(f"{taken[rel]} and {src} would both be preprocessed to {rel}")
+    return names
+
+
 def cmd_preprocess(args) -> int:
     manifest = Manifest.load(args.manifest)
     out = Path(args.out)
+    # name every output before the first write, so a collision changes nothing
+    clip_names = _cooked_names("clips", [manifest.clip_path(r) for r in manifest.clips])
+    layout_names = _cooked_names("layouts", [manifest.base / p
+                                             for p in manifest.layouts.values()])
     (out / "clips").mkdir(parents=True, exist_ok=True)
     (out / "layouts").mkdir(parents=True, exist_ok=True)
     # an earlier manifest must not vouch for a mix of old and new clips
     (out / "manifest.json").unlink(missing_ok=True)
     records = []
-    for rec in manifest.clips:
-        cooked = cook(manifest.load_record(rec))
-        rel = f"clips/{Path(rec.path).name}"
-        save_clip(cooked, out / rel)
+    for rec, rel in zip(manifest.clips, clip_names):
+        save_clip(cook(manifest.load_record(rec)), out / rel)
         records.append(dataclasses.replace(rec, path=rel))
     layouts = {}
-    for subject, path in manifest.layouts.items():
-        layout = manifest.layout_for(subject)
-        rel = f"layouts/{Path(path).name}"
-        layout.save(out / rel)
+    for subject, rel in zip(manifest.layouts, layout_names):
+        manifest.layout_for(subject).save(out / rel)
         layouts[subject] = rel
     Manifest(records, layouts, base=out).save(out / "manifest.json")
     print(out / "manifest.json")

@@ -138,8 +138,10 @@ class EvaluationReport:
 
 def predict_segments(network: Network, topology: str, batch: SegmentBatch,
                      layout: ElectrodeLayout | None = None,
-                     chunk: int = 256) -> np.ndarray:
-    """Inference-mode probabilities for a batch of segments."""
+                     chunk: int = 4) -> np.ndarray:
+    """Inference-mode probabilities for a batch of segments, forwarded
+    ``chunk`` segments at a time so each layer's output stays small
+    enough to fit in cache."""
     x = reshape_batch(batch.segments, topology, layout)
     parts = [network.forward(x[i:i + chunk], INFER)[:, 0]
              for i in range(0, x.shape[0], chunk)]

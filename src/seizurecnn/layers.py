@@ -12,7 +12,7 @@ gradient, and what the layer's backward reads:
 
   Conv       the zero-padded input
   BatchNorm  the normalized input and per-map inverse std
-  MaxPool    the argmax of every window, the input shape and tile order
+  MaxPool    the argmax of every window and the input shape
   Dropout    the keep mask (None at rate 0)
   Flatten    the input shape
   Dense      the input
@@ -31,8 +31,11 @@ Convolution is cross-correlation with zero "same" padding: output spatial
 shape equals input spatial shape for every kernel extent, and kernels of
 even extent are anchored with the extra tap toward larger index.  It runs
 as one im2col GEMM whose columns are ordered ``(map, *tap)``.  Max
-pooling is non-overlapping with first-occurrence tie-breaking.  All of it
-is deterministic given the inputs and the dropout stream.
+pooling is non-overlapping with first-occurrence tie-breaking: both modes
+take one running maximum over a strided view per window offset, and TRAIN
+also keeps the offset of each window's first maximum, a uint8 for every
+window the topologies use.  All of it is deterministic given the inputs
+and the dropout stream.
 """
 
 from __future__ import annotations
@@ -205,7 +208,12 @@ class Conv(Layer):
 
 
 class MaxPool(Layer):
-    """Non-overlapping max pooling; ties go to the lowest window index."""
+    """Non-overlapping max pooling; ties go to the lowest window index.
+
+    Window offsets, and the argmax that indexes them, run in
+    ``np.ndindex(*window)`` order.  The argmax is the smallest unsigned
+    type that holds it: uint8 up to 256 cells per window.
+    """
 
     def __init__(self, window, name: str = "pool"):
         super().__init__(name)
@@ -221,33 +229,34 @@ class MaxPool(Layer):
         for s, w in zip(spatial, self.window):
             if s % w != 0:
                 raise ValueError(f"{self.name}: spatial extent {s} not divisible by window {w}")
+        # one strided view per window offset, in np.ndindex order
+        views = [x[(slice(None), slice(None)) + tuple(
+            slice(o, None, w) for o, w in zip(offs, self.window))]
+            for offs in np.ndindex(*self.window)]
+        out = views[0].copy()
+        for view in views[1:]:
+            np.maximum(view, out, out=out)  # a tie keeps ``out``, the earlier cell
         if mode != TRAIN:
-            # running maximum over one strided view per window offset; a
-            # max over the window axis of the tiles below is several times
-            # slower, and inference needs no argmax
-            out = None
-            for offs in np.ndindex(*self.window):
-                view = x[(slice(None), slice(None)) + tuple(
-                    slice(o, None, w) for o, w in zip(offs, self.window))]
-                out = view.copy() if out is None else np.maximum(out, view, out=out)
             return self._keep(mode, out)
-        outs = tuple(s // w for s, w in zip(spatial, self.window))
-        inter: list[int] = []
-        for o, w in zip(outs, self.window):
-            inter += [o, w]
-        perm = (0, 1) + tuple(2 + 2 * i for i in range(rank)) + tuple(3 + 2 * i for i in range(rank))
-        tiles = x.reshape(x.shape[:2] + tuple(inter)).transpose(perm)
-        tiles = tiles.reshape(x.shape[:2] + outs + (-1,))
-        argmax = tiles.argmax(axis=-1)
-        out = np.take_along_axis(tiles, argmax[..., None], axis=-1)[..., 0]
-        return self._keep(mode, out, argmax, x.shape, perm)
+        # the first offset holding the maximum: count the leading offsets
+        # that all differ from it
+        argmax = np.zeros(out.shape, dtype=np.min_scalar_type(len(views) - 1))
+        before = np.ones(out.shape, dtype=bool)
+        differs = np.empty(out.shape, dtype=bool)
+        for view in views[:-1]:
+            np.not_equal(view, out, out=differs)
+            before &= differs
+            argmax += before
+        return self._keep(mode, out, argmax, x.shape)
 
     def backward(self, upstream: Tensor) -> Tensor:
-        argmax, in_shape, perm = self._kept(upstream)
+        argmax, in_shape = self._kept(upstream)
+        rank = len(self.window)
         flat = np.zeros(upstream.shape + (int(np.prod(self.window)),), dtype=upstream.dtype)
         np.put_along_axis(flat, argmax[..., None], upstream[..., None], axis=-1)
-        tiles = flat.reshape(upstream.shape + self.window)
-        return tiles.transpose(np.argsort(perm)).reshape(in_shape)
+        # (batch, maps, *outs, *window) back to (batch, maps, out0, win0, out1, win1, ...)
+        perm = (0, 1) + tuple(a for i in range(rank) for a in (2 + i, 2 + rank + i))
+        return flat.reshape(upstream.shape + self.window).transpose(perm).reshape(in_shape)
 
 
 class BatchNorm(Layer):

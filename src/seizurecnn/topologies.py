@@ -10,10 +10,14 @@ channels are laid out spatially and whether kernels may mix them:
   nv2x2x4  input (2, 2, 4, 3000) as hemisphere x strip x contact; the
            contact, strip and hemisphere axes are merged in that order
 
-Each block is conv -> batch norm -> ReLU -> max pool, preceded by a
+Each block is conv -> batch norm -> max pool -> ReLU, preceded by a
 batch norm on the raw input and followed by a shared dense head
 (dropout 0.2, 64 hidden units, dropout 0.5, sigmoid output).  Counting
-everything except the flatten reshape gives 31 layers.
+everything except the flatten reshape gives 31 layers.  Pooling before
+the ReLU gives the same values and gradients as ReLU before pooling,
+because max pooling commutes with a monotone function and both
+orders pass no gradient through a window whose maximum is <= 0; the ReLU
+then runs on a tensor the pool has already shrunk 2 to 10 times.
 
 Each topology is one row of GRIDS: its spatial grid ahead of the time
 axis and the ElectrodeLayout coordinates that index that grid, outermost
@@ -276,8 +280,8 @@ def build_topology(topology: str, layout: ElectrodeLayout | None,
         layers += [
             Conv(maps_in, maps, kernel, init.split(f"conv{i}"), name=f"conv{i}"),
             BatchNorm(maps, name=f"bn{i}"),
-            ReLU(name=f"act{i}"),
             MaxPool(pool, name=f"pool{i}"),
+            ReLU(name=f"act{i}"),
         ]
         for axis, p in enumerate(pool):
             if extents[axis] % p != 0:

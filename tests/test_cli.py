@@ -432,6 +432,81 @@ class TestPreprocess:
         assert not (out / "manifest.json").exists()
 
 
+def _tree(root):
+    """Every file under ``root`` with its bytes, and every directory."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+class TestPreprocessNameCollisions:
+    """Two different source files that would get one cooked name exit 3
+    before anything in the output directory changes."""
+
+    #: channel c at the grid cell of channel 15 - c, unlike the default layout
+    REVERSED = ElectrodeLayout([(15 - c) // 4 for c in range(16)],
+                               [(15 - c) % 4 for c in range(16)])
+
+    @pytest.fixture
+    def source(self, dataset_dir, tmp_path):
+        root = tmp_path / "source"
+        shutil.copytree(dataset_dir, root)
+        return root
+
+    @pytest.fixture
+    def earlier(self, dataset_dir, tmp_path):
+        out = tmp_path / "cooked"
+        assert cli.main(["preprocess", "--manifest", str(dataset_dir / "manifest.json"),
+                         "--out", str(out)]) == 0
+        return out
+
+    @staticmethod
+    def rewrite(source, edit):
+        doc = json.loads((source / "manifest.json").read_text())
+        edit(doc)
+        (source / "manifest.json").write_text(json.dumps(doc))
+
+    def preprocess(self, source, out):
+        return cli.main(["preprocess", "--manifest", str(source / "manifest.json"),
+                         "--out", str(out)])
+
+    def test_clip_file_names(self, source, earlier, capsys):
+        def edit(doc):
+            for folder, row in zip(("a", "b"), doc["clips"]):
+                (source / folder).mkdir()
+                os.replace(source / row["path"], source / folder / "x.clip")
+                row["path"] = f"{folder}/x.clip"
+        self.rewrite(source, edit)
+        before = _tree(earlier)
+        assert self.preprocess(source, earlier) == 3
+        err = capsys.readouterr().err
+        assert "a/x.clip" in err and "b/x.clip" in err and "clips/x.clip" in err
+        assert _tree(earlier) == before
+
+    def test_layout_file_names(self, source, earlier, capsys):
+        for folder, layout in (("a", ElectrodeLayout.default()), ("b", self.REVERSED)):
+            (source / folder).mkdir()
+            layout.save(source / folder / "layout.json")
+        self.rewrite(source, lambda doc: doc.update(
+            layouts={"synth01": "a/layout.json", "synth02": "b/layout.json"}))
+        before = _tree(earlier)
+        assert self.preprocess(source, earlier) == 3
+        err = capsys.readouterr().err
+        assert "a/layout.json" in err and "b/layout.json" in err
+        assert _tree(earlier) == before
+
+    def test_shared_layout_file(self, source, tmp_path):
+        (source / "shared").mkdir()
+        self.REVERSED.save(source / "shared" / "layout.json")
+        self.rewrite(source, lambda doc: doc.update(
+            layouts={"synth01": "shared/layout.json", "synth02": "./shared/layout.json"}))
+        out = tmp_path / "out"
+        assert self.preprocess(source, out) == 0
+        cooked = Manifest.load(out / "manifest.json")
+        assert cooked.layouts == {"synth01": "layouts/layout.json",
+                                  "synth02": "layouts/layout.json"}
+        assert cooked.layout_for("synth02") == self.REVERSED
+
+
 class TestNonFiniteSamples:
     """A NaN sample is a data error (exit 3) for every command that reads it."""
 

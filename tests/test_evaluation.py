@@ -10,9 +10,11 @@ from seizurecnn.evaluation import (ClipPrediction, EvaluationReport,
                                    RunAggregate, aggregate_clip,
                                    aggregate_runs, evaluate_subject,
                                    predict_segments, roc_auc, roc_curve)
-from seizurecnn.layers import (Conv, Dense, Flatten, MaxPool, Network, ReLU,
-                               Sigmoid)
+from seizurecnn.layers import (INFER, Conv, Dense, Flatten, MaxPool, Network,
+                               ReLU, Sigmoid)
 from seizurecnn.tensor import seeded_rng
+from seizurecnn.topologies import (TOPOLOGIES, ElectrodeLayout, build_topology,
+                                   reshape_batch)
 from seizurecnn.data import SegmentBatch
 
 
@@ -148,6 +150,16 @@ class TestPredictSegments:
         b = predict_segments(net, "nv1x16", batch, chunk=1000)
         # BLAS blocking differs with batch shape, so only near-equality holds
         assert np.allclose(a, b, atol=1e-6)
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_default_chunk_matches_whole_batch(self, topology):
+        layout = ElectrodeLayout.default()
+        _, net = build_topology(topology, layout, seeded_rng(2).split("model"))
+        batch = self.batch(40, seed=3)
+        whole = net.forward(reshape_batch(batch.segments, topology, layout), INFER)[:, 0]
+        chunked = predict_segments(net, topology, batch, layout)
+        # BLAS blocking differs with batch shape, so only near-equality holds
+        assert np.allclose(chunked, whole, rtol=0, atol=1e-6)
 
     def test_output_shape_and_range(self):
         probs = predict_segments(toy_network(), "nv1x16", self.batch(5))

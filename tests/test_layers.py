@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from seizurecnn.layers import (INFER, TRAIN, BatchNorm, Conv, Dense, Dropout,
                                Flatten, MaxPool, Network, ReLU, Sigmoid)
 from seizurecnn.tensor import seeded_rng
+from seizurecnn.topologies import TIME_BLOCKS, TOPOLOGIES, _block_geometry
 
 
 def conv_oracle(x, kernel, bias):
@@ -142,6 +143,54 @@ class TestMaxPool:
         x = np.arange(16.0).reshape(1, 1, 4, 4)
         out = MaxPool((2, 2)).forward(x)
         assert np.array_equal(out[0, 0], [[5.0, 7.0], [13.0, 15.0]])
+
+
+def tile_pool_oracle(x, window, upstream):
+    """The tiles/argmax max pool that the running maximum replaced: the
+    output, the argmax and the input gradient of ``upstream``."""
+    rank = len(window)
+    outs = tuple(s // w for s, w in zip(x.shape[2:], window))
+    inter: list[int] = []
+    for o, w in zip(outs, window):
+        inter += [o, w]
+    perm = (0, 1) + tuple(2 + 2 * i for i in range(rank)) + tuple(3 + 2 * i for i in range(rank))
+    tiles = x.reshape(x.shape[:2] + tuple(inter)).transpose(perm)
+    tiles = tiles.reshape(x.shape[:2] + outs + (-1,))
+    argmax = tiles.argmax(axis=-1)
+    out = np.take_along_axis(tiles, argmax[..., None], axis=-1)[..., 0]
+    flat = np.zeros(upstream.shape + (int(np.prod(window)),), dtype=upstream.dtype)
+    np.put_along_axis(flat, argmax[..., None], upstream[..., None], axis=-1)
+    grad = flat.reshape(upstream.shape + window).transpose(np.argsort(perm)).reshape(x.shape)
+    return out, argmax, grad
+
+
+#: every pool window of the three topologies, plus 1-D windows; the
+#: 300-cell window needs a uint16 argmax
+POOL_WINDOWS = sorted({pool for topology in TOPOLOGIES
+                       for _, pool, _ in _block_geometry(topology)}
+                      | {(pt,) for _, pt, _ in TIME_BLOCKS} | {(1,), (7,), (300,)})
+
+
+class TestMaxPoolOracle:
+    @pytest.mark.parametrize("window", POOL_WINDOWS, ids=str)
+    @pytest.mark.parametrize("rounded", [False, True], ids=["random", "rounded"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_tile_oracle(self, window, rounded, dtype):
+        rng = seeded_rng(len(window) * 100 + sum(window)).split("pool")
+        x = rng.normal(size=(3, 2) + tuple(3 * w for w in window)).astype(dtype)
+        if rounded:
+            x = np.round(x)  # many ties, and -0.0 beside +0.0
+        pool = MaxPool(window)
+        out = pool.forward(x, TRAIN)
+        argmax = pool._cache[1][0]
+        upstream = rng.normal(size=out.shape).astype(dtype)
+        grad = pool.backward(upstream)
+        want_out, want_argmax, want_grad = tile_pool_oracle(x, window, upstream)
+        assert argmax.dtype == (np.uint8 if np.prod(window) <= 256 else np.uint16)
+        assert np.array_equal(argmax, want_argmax)
+        assert out.tobytes() == want_out.tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+        assert pool.forward(x, INFER).tobytes() == want_out.tobytes()
 
 
 class TestBatchNorm:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from seizurecnn.errors import ConfigError, LayoutError
-from seizurecnn.layers import INFER
+from seizurecnn.layers import INFER, TRAIN, Network
 from seizurecnn.tensor import seeded_rng
 from seizurecnn.topologies import (TOPOLOGIES, ElectrodeLayout, build_topology,
                                    input_grid, reshape_batch)
@@ -224,6 +224,44 @@ class TestBuildTopology:
         spec, _ = self.build(topology)
         assert spec.manifest["dense1.weights"].shape == (64, self.FLAT_WIDTHS[topology])
         assert spec.manifest["dense2.weights"].shape == (1, 64)
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_block_order(self, topology):
+        _, network = self.build(topology)
+        names = [layer.name for layer in network.layers]
+        for i in range(1, 7):
+            start = names.index(f"conv{i}")
+            assert names[start:start + 4] == [f"conv{i}", f"bn{i}", f"pool{i}", f"act{i}"]
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_pool_before_relu_is_exact(self, topology):
+        """Swapping each block back to ReLU before pool, over the same layer
+        objects, changes no output or gradient bit."""
+        _, network = self.build(topology)
+        layers = list(network.layers)
+        for i in [i for i, layer in enumerate(layers) if layer.name.startswith("pool")]:
+            layers[i], layers[i + 1] = layers[i + 1], layers[i]
+        old = Network(layers, input_grid=network.input_grid)
+        assert [layer.name for layer in old.layers][1:5] == ["conv1", "bn1", "act1", "pool1"]
+        rng = seeded_rng(5)
+        segs = rng.split("x").normal(size=(4, 16, 3000)).astype(np.float32)
+        x = reshape_batch(segs, topology, ElectrodeLayout.default())
+        upstream = rng.split("up").normal(size=(4, 1)).astype(np.float32)
+
+        def run(net):
+            out = net.forward(x, TRAIN, seeded_rng(6).split("dropout"))
+            grad = net.backward(upstream)
+            grads = {k: v.copy() for k, v in net.grads().items()}
+            return out, grad, grads
+
+        new_out, new_grad, new_grads = run(network)
+        old_out, old_grad, old_grads = run(old)
+        assert new_out.tobytes() == old_out.tobytes()
+        assert new_grad.tobytes() == old_grad.tobytes()
+        assert new_grads.keys() == old_grads.keys()
+        for key, value in new_grads.items():
+            assert value.tobytes() == old_grads[key].tobytes(), key
+        assert network.forward(x, INFER).tobytes() == old.forward(x, INFER).tobytes()
 
     def test_nv1x16_convs_never_mix_channels(self):
         spec, _ = self.build("nv1x16")
