@@ -7,8 +7,9 @@ files, layout mismatches); anything else that goes wrong exits 1.
 
 A training run writes a self-describing directory
 ``{subject}_{topology}_s{seed:04d}/`` holding parameters.npz,
-history.csv and run.json; evaluate adds report.json and roc.csv beside
-them. run.json records the resolved config, the data manifest path, the
+history.csv and run.json; evaluate adds roc.csv and then report.json
+beside them, so a report never stands beside a missing or stale roc.csv.
+run.json records the resolved config, the data manifest path, the
 layout content hash and the toolkit and RNG identifiers, so a run can be
 re-evaluated long after the fact and a stale layout is caught instead of
 silently mis-gridding channels. A run is written into a fresh hidden
@@ -38,12 +39,14 @@ from pathlib import Path
 
 from . import __version__
 from .data import (Manifest, cook, generate_synthetic, load_clip,
-                   load_split_segments, preprocess_clip, save_clip,
-                   split_train_validation)
+                   load_split_segments, save_clip, split_train_validation)
+# unused here; kept importable from cli because perfbench/tests/test_spans.py
+# checks that tracing wraps cli.preprocess_clip along with data's
+from .data import preprocess_clip  # noqa: F401
 from .errors import (ConfigError, DataError, LayoutError, SeizureCnnError,
                      UnknownSubjectError)
-from .evaluation import (EvaluationReport, aggregate_clip, aggregate_runs,
-                         evaluate_subject, predict_segments)
+from .evaluation import (EvaluationReport, aggregate_runs, evaluate_subject,
+                         score_clip)
 from .tensor import (RNG_ALGORITHM_ID, load_arrays, load_json, save_arrays,
                      save_json, seeded_rng)
 from .topologies import TOPOLOGIES, build_topology
@@ -229,8 +232,10 @@ def cmd_evaluate(args) -> int:
     run, manifest, layout, network = _load_trained(run_dir, args.manifest)
     report = evaluate_subject(network, run.topology, manifest, run.subject,
                               split=args.split, layout=layout, seed=run.seed)
-    report.save(run_dir / REPORT_FILE)
+    # report.json goes last: a crash before it leaves no report for `report` to read
+    (run_dir / REPORT_FILE).unlink(missing_ok=True)
     report.roc_to_csv(run_dir / ROC_FILE)
+    report.save(run_dir / REPORT_FILE)
     print(f"{report.subject} {report.topology} seed={run.seed} "
           f"{args.split} AUC={report.auc:.6f}")
     return 0
@@ -238,10 +243,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     run, _, layout, network = _load_trained(Path(args.run), args.manifest)
-    clip = load_clip(args.clip)
-    segs = preprocess_clip(clip)
-    probs = predict_segments(network, run.topology, segs, layout)
-    print(f"{args.clip} probability={aggregate_clip(probs):.6f}")
+    _, probability = score_clip(network, run.topology, load_clip(args.clip), layout)
+    print(f"{args.clip} probability={probability:.6f}")
     return 0
 
 
@@ -254,17 +257,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _rebase(manifest: Manifest, records, out_dir: Path) -> Manifest:
-    """Manifest whose relative paths resolve from out_dir."""
-    rebased = []
-    for r in records:
-        rel = os.path.relpath(manifest.clip_path(r), out_dir)
-        rebased.append(dataclasses.replace(r, path=rel))
-    layouts = {s: os.path.relpath(manifest.base / p, out_dir)
-               for s, p in manifest.layouts.items()}
-    return Manifest(rebased, layouts, base=out_dir)
-
-
 def cmd_split(args) -> int:
     manifest = Manifest.load(args.manifest)
     train_m, val_m = split_train_validation(manifest, args.fraction, args.seed)
@@ -272,8 +264,8 @@ def cmd_split(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     train_path = out / "train_manifest.json"
     val_path = out / "validation_manifest.json"
-    _rebase(manifest, train_m.clips, out).save(train_path)
-    _rebase(manifest, val_m.clips, out).save(val_path)
+    train_m.save(train_path)
+    val_m.save(val_path)
     n_val = len(val_m.clips)
     print(train_path)
     print(val_path)

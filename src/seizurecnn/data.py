@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -159,28 +160,25 @@ def znormalize(clip: Clip) -> Clip:
 
 @dataclass
 class SegmentBatch:
-    """Preprocessed 15 s units: (n, 16, 3000) segments with inherited labels
-    and the index of the source clip for each segment."""
+    """Preprocessed 15 s units: (n, 16, 3000) segments, each with the label
+    of the clip it was cut from."""
     segments: Tensor
     labels: Tensor
-    clip_ids: Tensor
 
     def __post_init__(self):
         self.segments = np.asarray(self.segments, dtype=FLOAT32)
         self.labels = np.asarray(self.labels, dtype=np.uint8)
-        self.clip_ids = np.asarray(self.clip_ids, dtype=np.int64)
-        n = self.segments.shape[0]
         if self.segments.ndim != 3 or self.segments.shape[1:] != (N_CHANNELS, SEGMENT_SAMPLES):
             raise DataError(f"segments must be (n, {N_CHANNELS}, {SEGMENT_SAMPLES}), "
                             f"got {self.segments.shape}")
-        if self.labels.shape != (n,) or self.clip_ids.shape != (n,):
-            raise DataError("labels and clip_ids must have one entry per segment")
+        if self.labels.shape != (self.segments.shape[0],):
+            raise DataError("labels must have one entry per segment")
 
     def __len__(self) -> int:
         return self.segments.shape[0]
 
 
-def segment(clip: Clip, clip_id: int = 0) -> SegmentBatch:
+def segment(clip: Clip) -> SegmentBatch:
     """Cut a clip into consecutive non-overlapping 3000-sample segments.
 
     A trailing remainder (possible only on nonstandard clip lengths) is
@@ -196,10 +194,8 @@ def segment(clip: Clip, clip_id: int = 0) -> SegmentBatch:
         raise DataError(f"clip with {clip.n_samples} samples is shorter than one segment")
     x = clip.samples[:, :n_seg * SEGMENT_SAMPLES]
     segs = x.reshape(N_CHANNELS, n_seg, SEGMENT_SAMPLES).transpose(1, 0, 2)
-    label_code = LABEL_CODES[clip.label]
     return SegmentBatch(np.ascontiguousarray(segs),
-                        np.full(n_seg, label_code, dtype=np.uint8),
-                        np.full(n_seg, clip_id, dtype=np.int64))
+                        np.full(n_seg, LABEL_CODES[clip.label], dtype=np.uint8))
 
 
 def cook(clip: Clip) -> Clip:
@@ -215,9 +211,9 @@ def cook(clip: Clip) -> Clip:
     return znormalize(clip)
 
 
-def preprocess_clip(clip: Clip, clip_id: int = 0) -> SegmentBatch:
+def preprocess_clip(clip: Clip) -> SegmentBatch:
     """cook -> segment."""
-    return segment(cook(clip), clip_id)
+    return segment(cook(clip))
 
 
 @dataclass(frozen=True)
@@ -284,17 +280,34 @@ class Manifest:
                 f"manifest label {record.label!r}")
         return clip
 
-    def to_mapping(self) -> dict:
+    def labeled_split(self, subject: str, split: str) -> list[ClipRecord]:
+        """The subject's records in ``split``; a DataError when there are
+        none or one of them is unlabeled."""
+        records = self.select(subject=subject, split=split)
+        if not records:
+            raise DataError(f"no {split} clips for subject {subject!r} in manifest")
+        for r in records:
+            if r.label == "unknown":
+                raise DataError(f"{r.path}: {split} clip is unlabeled")
+        return records
+
+    def save(self, path) -> None:
+        """Write the manifest with every clip and layout path relative to
+        ``path``'s directory, the base ``load`` resolves them from."""
+        out_dir = Path(path).parent
+
+        def rel(p: str) -> str:
+            return os.path.relpath(self.base / p, out_dir)
+
         clips = []
         for r in self.clips:
-            row = {"path": r.path, "subject": r.subject, "label": r.label, "split": r.split}
+            row = {"path": rel(r.path), "subject": r.subject, "label": r.label,
+                   "split": r.split}
             if r.group is not None:
                 row["group"] = r.group
             clips.append(row)
-        return {"clips": clips, "layouts": dict(sorted(self.layouts.items()))}
-
-    def save(self, path) -> None:
-        save_json(path, self.to_mapping())
+        save_json(path, {"clips": clips,
+                         "layouts": {s: rel(p) for s, p in sorted(self.layouts.items())}})
 
     @classmethod
     def load(cls, path) -> "Manifest":
@@ -378,18 +391,12 @@ def split_train_validation(manifest: Manifest, fraction: float = 0.2,
 
 def load_split_segments(manifest: Manifest, subject: str,
                         split: str) -> tuple[SegmentBatch, list[ClipRecord]]:
-    """Preprocess every clip of one subject and split into a single batch.
-
-    Clip ids index into the returned record list.
-    """
-    records = manifest.select(subject=subject, split=split)
-    if not records:
-        raise DataError(f"no {split} clips for subject {subject!r} in manifest")
-    batches = [preprocess_clip(manifest.load_record(r), clip_id=i)
-               for i, r in enumerate(records)]
+    """Preprocess every clip of one subject and split into a single batch,
+    clip after clip in manifest order, and return it with those records."""
+    records = manifest.labeled_split(subject, split)
+    batches = [preprocess_clip(manifest.load_record(r)) for r in records]
     return SegmentBatch(np.concatenate([b.segments for b in batches]),
-                        np.concatenate([b.labels for b in batches]),
-                        np.concatenate([b.clip_ids for b in batches])), records
+                        np.concatenate([b.labels for b in batches])), records
 
 
 def bandpower_score(clip: Clip, band: tuple[float, float] = (18.0, 24.0)) -> float:

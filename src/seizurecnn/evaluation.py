@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import LABEL_CODES, Manifest, SegmentBatch, preprocess_clip
+from .data import LABEL_CODES, Clip, Manifest, SegmentBatch, preprocess_clip
 from .errors import DataError, SingleClassError
 from .layers import INFER, Network
 from .tensor import load_json, save_json
@@ -136,16 +136,26 @@ class EvaluationReport:
                 writer.writerow([repr(f), repr(t), repr(thr)])
 
 
+INFER_CHUNK = 4
+
+
 def predict_segments(network: Network, topology: str, batch: SegmentBatch,
-                     layout: ElectrodeLayout | None = None,
-                     chunk: int = 4) -> np.ndarray:
+                     layout: ElectrodeLayout | None = None) -> np.ndarray:
     """Inference-mode probabilities for a batch of segments, forwarded
-    ``chunk`` segments at a time so each layer's output stays small
+    ``INFER_CHUNK`` segments at a time so each layer's output stays small
     enough to fit in cache."""
     x = reshape_batch(batch.segments, topology, layout)
-    parts = [network.forward(x[i:i + chunk], INFER)[:, 0]
-             for i in range(0, x.shape[0], chunk)]
+    parts = [network.forward(x[i:i + INFER_CHUNK], INFER)[:, 0]
+             for i in range(0, x.shape[0], INFER_CHUNK)]
     return np.concatenate(parts).astype(np.float64)
+
+
+def score_clip(network: Network, topology: str, clip: Clip,
+               layout: ElectrodeLayout | None = None) -> tuple[np.ndarray, float]:
+    """A raw or cooked clip's segment probabilities and their mean, the
+    clip probability."""
+    probs = predict_segments(network, topology, preprocess_clip(clip), layout)
+    return probs, aggregate_clip(probs)
 
 
 def evaluate_subject(network: Network, topology: str, manifest: Manifest,
@@ -156,22 +166,17 @@ def evaluate_subject(network: Network, topology: str, manifest: Manifest,
 
     Each clip is preprocessed, forward-passed in inference mode (running
     batch-norm statistics, dropout off), its segment probabilities
-    averaged, and the ROC taken over clip probabilities.
+    averaged, and the ROC taken over clip probabilities. An unlabeled
+    clip in the split is rejected before any clip is scored.
     """
-    records = manifest.select(subject=subject, split=split)
-    if not records:
-        raise DataError(f"no {split} clips for subject {subject!r} in manifest")
+    records = manifest.labeled_split(subject, split)
     if layout is None:
         layout = manifest.layout_for(subject)
     predictions = []
     for rec in records:
-        if rec.label == "unknown":
-            raise DataError(f"{rec.path}: cannot evaluate an unlabeled clip")
-        segs = preprocess_clip(manifest.load_record(rec))
-        probs = predict_segments(network, topology, segs, layout)
+        probs, clip_prob = score_clip(network, topology, manifest.load_record(rec), layout)
         predictions.append(ClipPrediction(rec.path, LABEL_CODES[rec.label],
-                                          [float(p) for p in probs],
-                                          aggregate_clip(probs)))
+                                          [float(p) for p in probs], clip_prob))
     scores = [p.clip_probability for p in predictions]
     labels = [p.label for p in predictions]
     fpr, tpr, thr = roc_curve(scores, labels)

@@ -162,12 +162,6 @@ class ElectrodeLayout:
         canonical = json.dumps(self.to_mapping(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ElectrodeLayout):
-            return NotImplemented
-        return (self.strips, self.contacts, self.hemispheres) == \
-            (other.strips, other.contacts, other.hemispheres)
-
 
 def channel_order(topology: str, layout: ElectrodeLayout | None) -> np.ndarray | None:
     """Channel index occupying each grid cell, flattened row-major: the

@@ -192,9 +192,6 @@ class RunHistory:
     """Per-epoch training record, one row per completed epoch."""
     mean_loss: list[float]
 
-    def __len__(self) -> int:
-        return len(self.mean_loss)
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -236,8 +233,7 @@ def fit(network: Network, train, cfg: TrainConfig, rng: RngStream,
     else:
         w_pos, w_neg = 1.0, 1.0
 
-    x = reshape_batch(train.segments, cfg.topology, layout)
-    n = x.shape[0]
+    n = train.segments.shape[0]
     shuffle_rng = rng.split("shuffle")
     dropout_rng = rng.split("dropout")
     adam = AdamState(network.params())
@@ -250,8 +246,10 @@ def fit(network: Network, train, cfg: TrainConfig, rng: RngStream,
             idx = order[start:start + cfg.batch_size]
             if idx.size < 2:
                 break  # batch norm cannot train on a single segment
+            # only this batch goes on the topology grid, never a copy of the subject
+            x = reshape_batch(train.segments[idx], cfg.topology, layout)
             loss, grads = batch_loss_and_grads(
-                network, x[idx], labels[idx], w_pos, w_neg, cfg.l1, cfg.l2, dropout_rng)
+                network, x, labels[idx], w_pos, w_neg, cfg.l1, cfg.l2, dropout_rng)
             where = f"at epoch {epoch}, batch {len(batch_losses) + 1}"
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite loss {loss} {where}")

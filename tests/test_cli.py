@@ -344,6 +344,22 @@ class TestEvaluate:
     def test_missing_run_dir(self, tmp_path):
         assert cli.main(["evaluate", "--run", str(tmp_path / "nope")]) == 3
 
+    def test_report_written_last(self, run_dir, tmp_path, monkeypatch):
+        clone = tmp_path / "clone"
+        clone.mkdir()
+        for name in ("run.json", "parameters.npz"):
+            (clone / name).write_bytes((run_dir / name).read_bytes())
+        assert cli.main(["evaluate", "--run", str(clone)]) == 0
+
+        def crash(self, path):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(EvaluationReport, "roc_to_csv", crash)
+        with pytest.raises(OSError, match="disk full"):
+            cli.main(["evaluate", "--run", str(clone)])
+        # neither the earlier report nor a new one may vouch for roc.csv
+        assert not (clone / "report.json").exists()
+
 
 class TestPredict:
     def test_prints_probability(self, run_dir, dataset_dir, capsys):
@@ -358,6 +374,15 @@ class TestPredict:
     def test_missing_clip(self, run_dir, tmp_path):
         assert cli.main(["predict", "--run", str(run_dir),
                          str(tmp_path / "ghost.clip")]) == 3
+
+    def test_matches_evaluate_report(self, run_dir, dataset_dir, capsys):
+        assert cli.main(["evaluate", "--run", str(run_dir)]) == 0
+        report = EvaluationReport.load(run_dir / "report.json")
+        capsys.readouterr()
+        for p in report.predictions:
+            path = dataset_dir / p.clip_id
+            assert cli.main(["predict", "--run", str(run_dir), str(path)]) == 0
+            assert capsys.readouterr().out == f"{path} probability={p.clip_probability:.6f}\n"
 
 
 class TestSplit:
@@ -504,7 +529,7 @@ class TestPreprocessNameCollisions:
         cooked = Manifest.load(out / "manifest.json")
         assert cooked.layouts == {"synth01": "layouts/layout.json",
                                   "synth02": "layouts/layout.json"}
-        assert cooked.layout_for("synth02") == self.REVERSED
+        assert cooked.layout_for("synth02").to_mapping() == self.REVERSED.to_mapping()
 
 
 class TestNonFiniteSamples:

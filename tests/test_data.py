@@ -167,11 +167,10 @@ class TestZnormalize:
 class TestSegment:
     def test_minute_of_target_rate(self):
         clip = Clip(np.zeros((16, 120000), dtype=np.float32), 200.0, "preictal")
-        batch = segment(clip, clip_id=3)
+        batch = segment(clip)
         assert len(batch) == 40
         assert batch.segments.shape == (40, 16, 3000)
         assert np.all(batch.labels == 1)
-        assert np.all(batch.clip_ids == 3)
 
     def test_values_match_source(self):
         clip = noise_clip(9000, rate=200.0)
@@ -199,19 +198,19 @@ class TestSegment:
 class TestSegmentBatch:
     def test_shape_validation(self):
         with pytest.raises(DataError):
-            SegmentBatch(np.zeros((2, 15, 3000)), np.zeros(2), np.zeros(2))
+            SegmentBatch(np.zeros((2, 15, 3000)), np.zeros(2))
         with pytest.raises(DataError):
-            SegmentBatch(np.zeros((2, 16, 3000)), np.zeros(3), np.zeros(2))
+            SegmentBatch(np.zeros((2, 16, 3000)), np.zeros(3))
 
 
 class TestPreprocessClip:
     def test_composition_order(self):
         clip = noise_clip(24000)
-        direct = preprocess_clip(clip, clip_id=5)
-        manual = segment(znormalize(decimate(clip)), clip_id=5)
+        direct = preprocess_clip(clip)
+        manual = segment(znormalize(decimate(clip)))
         assert np.array_equal(cook(clip).samples, znormalize(decimate(clip)).samples)
         assert np.array_equal(direct.segments, manual.segments)
-        assert np.array_equal(direct.clip_ids, manual.clip_ids)
+        assert np.array_equal(direct.labels, manual.labels)
 
     def test_target_rate_skips_decimation(self):
         clip = noise_clip(6000, rate=200.0)
@@ -247,6 +246,21 @@ class TestManifest:
         back = Manifest.load(path)
         assert back.clips == manifest.clips
         assert back.base == tmp_path
+
+    def test_saved_elsewhere_resolves_same_files(self, tmp_path):
+        manifest = generate_synthetic(tmp_path / "data", train_clips=1, test_clips=1, seed=5)
+        path = tmp_path / "elsewhere" / "deeper" / "manifest.json"
+        path.parent.mkdir(parents=True)
+        manifest.save(path)
+        back = Manifest.load(path)
+        assert [r.path for r in back.clips] == \
+            [f"../../data/{r.path}" for r in manifest.clips]
+        for ours, theirs in zip(back.clips, manifest.clips):
+            assert back.clip_path(ours).resolve() == manifest.clip_path(theirs).resolve()
+            assert back.load_record(ours).samples.tobytes() == \
+                manifest.load_record(theirs).samples.tobytes()
+        assert back.layout_for("synth01").to_mapping() == \
+            manifest.layout_for("synth01").to_mapping()
 
     def test_duplicate_paths(self):
         rec = ClipRecord("a.clip", "s1", "preictal", "train")
@@ -561,12 +575,16 @@ class TestLoadSplitSegments:
         batch, records = load_split_segments(manifest, "synth01", "train")
         # one minute at 400 Hz becomes 12000 samples, i.e. 4 segments per clip
         assert len(batch) == 8
-        assert sorted(batch.labels.tolist()) == [0] * 4 + [1] * 4
-        assert batch.clip_ids.tolist() == [0] * 4 + [1] * 4
-        assert len(records) == 2
-        for seg_label, cid in zip(batch.labels, batch.clip_ids):
-            expected = 1 if records[cid].label == "preictal" else 0
-            assert seg_label == expected
+        assert [r.label for r in records] == ["interictal", "preictal"]
+        # clip after clip in manifest order, each segment labeled as its clip
+        assert batch.labels.tolist() == [0] * 4 + [1] * 4
+        first = preprocess_clip(manifest.load_record(records[0]))
+        assert np.array_equal(batch.segments[:4], first.segments)
+
+    def test_unlabeled_split_rejected(self, tmp_path):
+        manifest = toy_manifest(tmp_path)
+        with pytest.raises(DataError, match="unlabeled"):
+            load_split_segments(manifest, "s1", "test")
 
     def test_missing_split(self, tmp_path):
         manifest = generate_synthetic(tmp_path, train_clips=1, test_clips=0, seed=5)

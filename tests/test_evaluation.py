@@ -141,15 +141,7 @@ class TestRocCurve:
 class TestPredictSegments:
     def batch(self, n=7, seed=0):
         segs = seeded_rng(seed).normal(size=(n, 16, 3000)).astype(np.float32)
-        return SegmentBatch(segs, np.zeros(n), np.zeros(n))
-
-    def test_chunk_size_does_not_matter(self):
-        net = toy_network()
-        batch = self.batch()
-        a = predict_segments(net, "nv1x16", batch, chunk=3)
-        b = predict_segments(net, "nv1x16", batch, chunk=1000)
-        # BLAS blocking differs with batch shape, so only near-equality holds
-        assert np.allclose(a, b, atol=1e-6)
+        return SegmentBatch(segs, np.zeros(n))
 
     @pytest.mark.parametrize("topology", TOPOLOGIES)
     def test_default_chunk_matches_whole_batch(self, topology):
@@ -212,6 +204,18 @@ class TestEvaluateSubject:
         blind = Manifest(records, dataset.layouts, dataset.base)
         with pytest.raises(DataError):
             evaluate_subject(toy_network(), "nv1x16", blind, "synth01")
+
+    def test_unlabeled_clip_rejected_before_scoring(self, dataset, monkeypatch):
+        from seizurecnn import evaluation
+        from seizurecnn.data import Manifest
+        records = dataset.select(split="test")
+        records[-1] = dataclasses.replace(records[-1], label="unknown")
+        blind = Manifest(records, dataset.layouts, dataset.base)
+        scored = []
+        monkeypatch.setattr(evaluation, "score_clip", lambda *a: scored.append(a))
+        with pytest.raises(DataError, match="unlabeled"):
+            evaluate_subject(toy_network(), "nv1x16", blind, "synth01")
+        assert scored == []
 
 
 class TestEvaluationReport:

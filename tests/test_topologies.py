@@ -31,13 +31,13 @@ class TestElectrodeLayout:
 
     def test_mapping_round_trip(self):
         layout = shuffled_layout(3)
-        assert ElectrodeLayout.from_mapping(layout.to_mapping()) == layout
+        assert ElectrodeLayout.from_mapping(layout.to_mapping()).to_mapping() == layout.to_mapping()
 
     def test_file_round_trip(self, tmp_path):
         layout = shuffled_layout(4)
         path = tmp_path / "layout.json"
         layout.save(path)
-        assert ElectrodeLayout.load(path) == layout
+        assert ElectrodeLayout.load(path).to_mapping() == layout.to_mapping()
         assert ElectrodeLayout.load(path).content_hash() == layout.content_hash()
 
     def test_hash_distinguishes_layouts(self):
@@ -48,7 +48,7 @@ class TestElectrodeLayout:
         assert layout.hemispheres is None
         doc = layout.to_mapping()
         assert "hemisphere" not in doc["0"]
-        assert ElectrodeLayout.from_mapping(doc) == layout
+        assert ElectrodeLayout.from_mapping(doc).to_mapping() == doc
 
     def test_incomplete_channel_set(self):
         with pytest.raises(LayoutError):

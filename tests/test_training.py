@@ -264,7 +264,7 @@ class TestFit:
         net = toy_network()
         _, history = fit(net, separable_batch(), self.cfg(epochs=3),
                          seeded_rng(0).split("fit"))
-        assert len(history) == 3
+        assert len(history.mean_loss) == 3
 
     def test_single_class_rejected(self):
         batch = separable_batch()
@@ -299,6 +299,20 @@ class TestFit:
         fit(net, batch, self.cfg(batch_size=4), seeded_rng(0).split("fit"))
         # 5 segments at batch size 4: the trailing singleton cannot batch-normalize
         assert len(calls) == 1
+
+    def test_arranges_one_batch_at_a_time(self, monkeypatch):
+        from seizurecnn import training
+        lengths = []
+        original = training.reshape_batch
+
+        def recording(segments, *args, **kwargs):
+            lengths.append(len(segments))
+            return original(segments, *args, **kwargs)
+
+        monkeypatch.setattr(training, "reshape_batch", recording)
+        fit(toy_network(), separable_batch(n=16), self.cfg(batch_size=4),
+            seeded_rng(0).split("fit"))
+        assert lengths == [4, 4, 4, 4]
 
     def test_loss_decreases_on_separable_data(self):
         net = toy_network(seed=2)
