@@ -7,14 +7,13 @@ files, layout mismatches); anything else that goes wrong exits 1.
 
 A training run writes a self-describing directory
 ``{subject}_{topology}_s{seed:04d}/`` holding parameters.npz,
-history.csv and run.json; evaluate adds roc.csv and then report.json
-beside them, so a report never stands beside a missing or stale roc.csv.
-run.json records the resolved config, the data manifest path, the
+history.csv and run.json; evaluate adds roc.csv and report.json beside
+them. run.json records the resolved config, the data manifest path, the
 layout content hash and the toolkit and RNG identifiers, so a run can be
 re-evaluated long after the fact and a stale layout is caught instead of
-silently mis-gridding channels. A run is written into a fresh hidden
-``*.tmp`` directory and swapped in whole, so a retrain replaces every
-file of an earlier run and a failed one leaves the earlier run as it was.
+silently mis-gridding channels. Every command but synth writes its files
+through ``_commit``, so a failed command leaves its earlier output as it
+was and a reader never finds new files beside stale ones.
 
 Training several seeds at once honors SEIZURECNN_WORKERS (default 1)
 with one process per seed. Every seed runs even when another fails: each
@@ -25,11 +24,10 @@ and the exit code is that of the first failed seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
-import shutil
 import sys
-import tempfile
 import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -138,8 +136,37 @@ def _worker_count() -> int:
     return workers
 
 
-def _run_dir(out: Path, subject: str, topology: str, seed: int) -> Path:
-    return out / f"{subject}_{topology}_s{seed:04d}"
+def _commit(directory: Path, files: dict) -> None:
+    """Write ``files``, an ordered map from a path under ``directory`` to a
+    writer ``f(path)`` or to None (delete the file), whole or not at all.
+    Each writer stages a hidden ``.<name>.tmp`` beside its target. Once all
+    have returned, the last name is deleted and each file moved into place
+    or deleted in order, so a reader that finds the last file finds the set
+    written with it. If a writer raises, ``directory`` is left as it was."""
+    targets = {Path(directory) / rel: write for rel, write in files.items()}
+    staged = {t: t.with_name(f".{t.name}.tmp") for t, w in targets.items() if w is not None}
+    made: list[Path] = []
+    try:
+        for target, tmp in staged.items():
+            for d in reversed(target.parents):
+                if not d.is_dir():
+                    with contextlib.suppress(FileExistsError):  # a parallel seed made it first
+                        d.mkdir()
+                        made.append(d)
+            targets[target](tmp)
+        list(targets)[-1].unlink(missing_ok=True)
+        for target in targets:
+            if target in staged:
+                os.replace(staged[target], target)
+            else:
+                target.unlink(missing_ok=True)
+    except BaseException:
+        for tmp in staged.values():
+            tmp.unlink(missing_ok=True)
+        for d in reversed(made):
+            with contextlib.suppress(OSError):  # a parallel seed wrote into it
+                d.rmdir()
+        raise
 
 
 def _train_one(cfg_mapping: dict, manifest_path: str, subject: str, out: str) -> str:
@@ -153,29 +180,17 @@ def _train_one(cfg_mapping: dict, manifest_path: str, subject: str, out: str) ->
     _, network = build_topology(cfg.topology, layout, run_rng.split("model"))
     state, history = fit(network, train_batch, cfg, run_rng.split("fit"), layout=layout)
 
-    run_dir = _run_dir(Path(out), subject, cfg.topology, cfg.seed)
-    run_dir.parent.mkdir(parents=True, exist_ok=True)
-    # hidden and ending in .tmp, so no run directory name can match it
-    work = Path(tempfile.mkdtemp(prefix=f".{run_dir.name}-", suffix=".tmp",
-                                 dir=run_dir.parent))
-    try:
-        new = work / "new"
-        new.mkdir()
-        save_arrays(new / PARAMS_FILE, state)
-        history.to_csv(new / HISTORY_FILE)
-        RunManifest(
-            subject=subject, topology=cfg.topology, seed=cfg.seed,
-            config=cfg.to_mapping(), data_manifest=str(manifest_path),
-            layout_sha256=layout.content_hash() if layout is not None else None,
-            artifacts={"parameters": PARAMS_FILE, "history": HISTORY_FILE,
-                       "report": REPORT_FILE, "roc": ROC_FILE},
-        ).save(new / RUN_FILE)
-        # os.replace cannot overwrite a non-empty directory: move the old run aside
-        if run_dir.exists():
-            os.replace(run_dir, work / "old")
-        os.replace(new, run_dir)
-    finally:
-        shutil.rmtree(work)
+    run_dir = Path(out) / f"{subject}_{cfg.topology}_s{cfg.seed:04d}"
+    run = RunManifest(
+        subject=subject, topology=cfg.topology, seed=cfg.seed,
+        config=cfg.to_mapping(), data_manifest=str(manifest_path),
+        layout_sha256=layout.content_hash() if layout is not None else None,
+        artifacts={"parameters": PARAMS_FILE, "history": HISTORY_FILE,
+                   "report": REPORT_FILE, "roc": ROC_FILE})
+    # an earlier report and ROC no longer describe the new parameters
+    _commit(run_dir, {PARAMS_FILE: lambda path: save_arrays(path, state),
+                      HISTORY_FILE: history.to_csv, REPORT_FILE: None, ROC_FILE: None,
+                      RUN_FILE: run.save})
     return str(run_dir)
 
 
@@ -232,10 +247,7 @@ def cmd_evaluate(args) -> int:
     run, manifest, layout, network = _load_trained(run_dir, args.manifest)
     report = evaluate_subject(network, run.topology, manifest, run.subject,
                               split=args.split, layout=layout, seed=run.seed)
-    # report.json goes last: a crash before it leaves no report for `report` to read
-    (run_dir / REPORT_FILE).unlink(missing_ok=True)
-    report.roc_to_csv(run_dir / ROC_FILE)
-    report.save(run_dir / REPORT_FILE)
+    _commit(run_dir, {ROC_FILE: report.roc_to_csv, REPORT_FILE: report.save})
     print(f"{report.subject} {report.topology} seed={run.seed} "
           f"{args.split} AUC={report.auc:.6f}")
     return 0
@@ -261,15 +273,12 @@ def cmd_split(args) -> int:
     manifest = Manifest.load(args.manifest)
     train_m, val_m = split_train_validation(manifest, args.fraction, args.seed)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    train_path = out / "train_manifest.json"
-    val_path = out / "validation_manifest.json"
-    train_m.save(train_path)
-    val_m.save(val_path)
-    n_val = len(val_m.clips)
-    print(train_path)
-    print(val_path)
-    print(f"{n_val} clips moved to validation, {len(train_m.clips)} remain")
+    _commit(out, {"train_manifest.json": train_m.save,
+                  "validation_manifest.json": val_m.save})
+    print(out / "train_manifest.json")
+    print(out / "validation_manifest.json")
+    print(f"{len(val_m.clips)} clips moved to validation, "
+          f"{len(train_m.select(split='train'))} train clips remain")
     return 0
 
 
@@ -291,19 +300,15 @@ def cmd_preprocess(args) -> int:
     clip_names = _cooked_names("clips", [manifest.clip_path(r) for r in manifest.clips])
     layout_names = _cooked_names("layouts", [manifest.base / p
                                              for p in manifest.layouts.values()])
-    (out / "clips").mkdir(parents=True, exist_ok=True)
-    (out / "layouts").mkdir(parents=True, exist_ok=True)
-    # an earlier manifest must not vouch for a mix of old and new clips
-    (out / "manifest.json").unlink(missing_ok=True)
-    records = []
+    files, records = {}, []
     for rec, rel in zip(manifest.clips, clip_names):
-        save_clip(cook(manifest.load_record(rec)), out / rel)
+        # each writer cooks its own clip, so one cooked clip is held at a time
+        files[rel] = lambda path, rec=rec: save_clip(cook(manifest.load_record(rec)), path)
         records.append(dataclasses.replace(rec, path=rel))
-    layouts = {}
-    for subject, rel in zip(manifest.layouts, layout_names):
-        manifest.layout_for(subject).save(out / rel)
-        layouts[subject] = rel
-    Manifest(records, layouts, base=out).save(out / "manifest.json")
+    layouts = dict(zip(manifest.layouts, layout_names))
+    files.update((rel, manifest.layout_for(s).save) for s, rel in layouts.items())
+    files["manifest.json"] = Manifest(records, layouts, base=out).save
+    _commit(out, files)
     print(out / "manifest.json")
     print(f"{len(records)} clips preprocessed to {out}")
     return 0
@@ -322,20 +327,17 @@ def cmd_report(args) -> int:
     if not reports:
         raise DataError("no evaluation reports found in the given run directories")
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     groups = {key: aggregate_runs(group) for key, group in sorted(reports.items())}
-    save_json(out / "aggregates.json", {"groups": [g.to_mapping() for g in groups.values()],
-                                        "skipped": sorted(skipped)})
-
+    aggregates = {"groups": [g.to_mapping() for g in groups.values()],
+                  "skipped": sorted(skipped)}
     # mean-AUC grid, subjects down, topologies across
-    subjects = sorted({s for s, _ in reports})
-    with open(out / "auc_table.csv", "w") as fh:
-        fh.write("subject," + ",".join(TOPOLOGIES) + "\n")
-        for subject in subjects:
-            cells = [f"{groups[subject, t].mean:.6f}" if (subject, t) in groups else ""
-                     for t in TOPOLOGIES]
-            fh.write(subject + "," + ",".join(cells) + "\n")
+    table = "subject," + ",".join(TOPOLOGIES) + "\n"
+    for subject in sorted({s for s, _ in reports}):
+        cells = [f"{groups[subject, t].mean:.6f}" if (subject, t) in groups else ""
+                 for t in TOPOLOGIES]
+        table += subject + "," + ",".join(cells) + "\n"
+    _commit(Path(args.out), {"auc_table.csv": lambda path: path.write_text(table),
+                             "aggregates.json": lambda path: save_json(path, aggregates)})
 
     for g in groups.values():
         print(f"{g.subject} {g.topology}: n={len(g.aucs)} mean={g.mean:.4f} "

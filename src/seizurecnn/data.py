@@ -343,9 +343,10 @@ def split_train_validation(manifest: Manifest, fraction: float = 0.2,
     Stratified per subject and class: floor(fraction * n) clips move to
     validation, chosen uniformly by the seed. Where seizure-group tags
     exist, whole groups move together and the per-class count is matched
-    as closely as the group sizes allow. Records that stay keep their
-    split; moved records are relabeled "validation". The two returned
-    manifests partition the input exactly.
+    as closely as the group sizes allow, short of moving every train clip
+    of a class. Records that stay keep their split; moved records are
+    relabeled "validation". The two returned manifests partition the
+    input exactly.
     """
     if not 0.0 < fraction < 1.0:
         raise ConfigError(f"validation fraction must be in (0, 1), got {fraction}")
@@ -358,10 +359,6 @@ def split_train_validation(manifest: Manifest, fraction: float = 0.2,
             if not stratum:
                 continue
             target = math.floor(fraction * len(stratum))
-            if target == 0:
-                warnings.warn(f"{subject}: validation receives no {label} clips "
-                              f"at fraction {fraction}", stacklevel=2)
-                continue
             # group records into indivisible units, in manifest order
             units: list[list[ClipRecord]] = []
             by_group: dict[str, list[ClipRecord]] = {}
@@ -379,9 +376,13 @@ def split_train_validation(manifest: Manifest, fraction: float = 0.2,
                 if taken >= target:
                     break
                 size = len(units[i])
-                if abs(taken + size - target) <= abs(taken - target):
+                if taken + size < len(stratum) and \
+                        abs(taken + size - target) <= abs(taken - target):
                     chosen.update(r.path for r in units[i])
                     taken += size
+            if taken == 0:
+                warnings.warn(f"{subject}: validation receives no {label} clips "
+                              f"at fraction {fraction}", stacklevel=2)
     train_records = [r for r in manifest.clips if r.path not in chosen]
     val_records = [dataclasses.replace(r, split="validation")
                    for r in manifest.clips if r.path in chosen]

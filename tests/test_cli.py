@@ -16,6 +16,13 @@ from seizurecnn.tensor import load_arrays, save_arrays
 from seizurecnn.topologies import ElectrodeLayout
 
 
+@pytest.fixture(autouse=True)
+def no_temporary_left(tmp_path_factory):
+    """No command, finished or crashed, leaves a staged ``.*.tmp`` behind."""
+    yield
+    assert list(tmp_path_factory.getbasetemp().rglob(".*.tmp")) == []
+
+
 @pytest.fixture(scope="module")
 def dataset_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli_data")
@@ -218,6 +225,18 @@ class TestTrain:
         assert {p.name: p.read_bytes() for p in run.iterdir()} == before
         assert [p.name for p in (tmp_path / "runs").iterdir()] == [run.name]
 
+    def test_failed_first_train_leaves_no_directory(self, dataset_dir, tmp_path,
+                                                    monkeypatch):
+        def full_disk(self, path):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(training.RunHistory, "to_csv", full_disk)
+        with pytest.raises(OSError, match="no space left"):
+            cli.main(["train", "--manifest", str(dataset_dir / "manifest.json"),
+                      "--subject", "synth01", "--epochs", "1", "--seed", "0",
+                      "--out", str(tmp_path / "runs")])
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("mutate", [
         lambda doc: doc.update(clips=5),
         lambda doc: doc["clips"][0].update(path=5),
@@ -259,9 +278,8 @@ class TestTrain:
         assert cli.main(args + ["--out", str(serial)]) == 0
         monkeypatch.setenv(cli.WORKERS_ENV, "2")
         assert cli.main(args + ["--out", str(parallel)]) == 0
-        for seed in (4, 5):
-            name = f"synth01_nv1x16_s{seed:04d}/parameters.npz"
-            assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+        assert _tree(parallel) == _tree(serial)
+        assert len(_tree(serial)) == 8  # two run directories of three files
 
 
 class TestEvaluate:
@@ -351,14 +369,16 @@ class TestEvaluate:
             (clone / name).write_bytes((run_dir / name).read_bytes())
         assert cli.main(["evaluate", "--run", str(clone)]) == 0
 
+        before = _tree(clone)
+
         def crash(self, path):
             raise OSError("disk full")
 
-        monkeypatch.setattr(EvaluationReport, "roc_to_csv", crash)
+        monkeypatch.setattr(EvaluationReport, "save", crash)
         with pytest.raises(OSError, match="disk full"):
-            cli.main(["evaluate", "--run", str(clone)])
-        # neither the earlier report nor a new one may vouch for roc.csv
-        assert not (clone / "report.json").exists()
+            cli.main(["evaluate", "--run", str(clone), "--split", "train"])
+        # the earlier report and the roc.csv it vouches for stay as they were
+        assert _tree(clone) == before
 
 
 class TestPredict:
@@ -392,15 +412,34 @@ class TestSplit:
         assert code == 0
         train_m = Manifest.load(tmp_path / "train_manifest.json")
         val_m = Manifest.load(tmp_path / "validation_manifest.json")
-        # both preictal train clips share a group tag, so they move together
+        # both preictal train clips share a group tag, and moving it would
+        # leave train without a preictal clip, so it stays
         moved = val_m.select(split="validation")
-        assert len([r for r in moved if r.label == "interictal"]) == 1
-        assert len([r for r in moved if r.label == "preictal"]) == 2
-        assert len(train_m.select(split="train")) == 1
+        assert [r.label for r in moved] == ["interictal"]
+        assert len(train_m.select(split="train", label="preictal")) == 2
+        assert len(train_m.select(split="train")) == 3
         # rebased paths must resolve from the new directory
         clip = val_m.load_record(moved[0])
         assert clip.n_channels == 16
-        assert "3 clips moved" in capsys.readouterr().out
+        assert "1 clips moved to validation, 3 train clips remain" in capsys.readouterr().out
+
+    def test_failed_rerun_keeps_earlier_output(self, dataset_dir, tmp_path, monkeypatch):
+        args = ["split", "--manifest", str(dataset_dir / "manifest.json"),
+                "--out", str(tmp_path / "split")]
+        assert cli.main(args + ["--fraction", "0.5"]) == 0
+        before = _tree(tmp_path / "split")
+        original = Manifest.save
+
+        def full_disk(self, path):
+            if "validation" in Path(path).name:
+                raise OSError("disk full")
+            original(self, path)
+
+        monkeypatch.setattr(Manifest, "save", full_disk)
+        # at fraction 0.2 no clip moves, so a new train manifest would differ
+        with pytest.raises(OSError, match="disk full"):
+            cli.main(args + ["--fraction", "0.2"])
+        assert _tree(tmp_path / "split") == before
 
     def test_bad_fraction(self, dataset_dir, tmp_path):
         code = cli.main(["split", "--manifest", str(dataset_dir / "manifest.json"),
@@ -440,10 +479,11 @@ class TestPreprocess:
             assert np.max(np.abs(clip.samples - first.load_record(a).samples)) < 1e-5
 
 
-    def test_failed_rerun_leaves_no_manifest(self, dataset_dir, tmp_path):
+    def test_failed_rerun_keeps_earlier_output(self, dataset_dir, tmp_path):
         out = tmp_path / "cooked"
         assert cli.main(["preprocess", "--manifest", str(dataset_dir / "manifest.json"),
                          "--out", str(out)]) == 0
+        before = _tree(out)
         source = tmp_path / "source"
         shutil.copytree(dataset_dir, source)
         manifest = Manifest.load(source / "manifest.json")
@@ -454,7 +494,8 @@ class TestPreprocess:
         save_clip(clip, path)
         assert cli.main(["preprocess", "--manifest", str(source / "manifest.json"),
                          "--out", str(out)]) == 3
-        assert not (out / "manifest.json").exists()
+        # neither a mix of old and new clips nor a manifest vouching for one
+        assert _tree(out) == before
 
 
 def _tree(root):
@@ -599,6 +640,27 @@ class TestReport:
         stdout = capsys.readouterr().out
         assert "s1 nv1x16: n=3" in stdout
         assert "skipped" in stdout
+
+    def test_failed_rerun_keeps_earlier_output(self, tmp_path, monkeypatch):
+        runs = [self.fabricate_run(tmp_path, "s1", "nv1x16", 0, 0.8)]
+        out = tmp_path / "summary"
+        assert cli.main(["report", str(runs[0]), "--out", str(out)]) == 0
+        before = _tree(out)
+        runs.append(self.fabricate_run(tmp_path, "s1", "nv4x4", 0, 0.7))
+        real_open = open
+
+        def full_disk(file, *args, **kwargs):
+            if "auc_table.csv" in str(file):
+                raise OSError("disk full")
+            return real_open(file, *args, **kwargs)
+
+        # Path.write_text opens through io.open, the built-in open is another name
+        monkeypatch.setattr("builtins.open", full_disk)
+        monkeypatch.setattr("io.open", full_disk)
+        with pytest.raises(OSError, match="disk full"):
+            cli.main(["report", *map(str, runs), "--out", str(out)])
+        monkeypatch.undo()
+        assert _tree(out) == before
 
     def test_no_reports_anywhere(self, tmp_path):
         empty = tmp_path / "run"

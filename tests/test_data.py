@@ -477,6 +477,14 @@ class TestSplitTrainValidation:
         assert val.select(label="preictal") == []
         assert len(val.select(label="interictal")) == 8
 
+    def test_one_group_per_class_stays_in_train(self):
+        manifest = counts_manifest(8, 4, group_size=4)
+        with pytest.warns(UserWarning, match="receives no preictal"):
+            train, val = split_train_validation(manifest, fraction=0.5)
+        assert len(val.select(label="interictal")) == 4
+        assert val.select(label="preictal") == []
+        assert len(train.select(label="preictal")) == 4
+
     def test_deterministic(self):
         manifest = counts_manifest(30, 10)
         _, val_a = split_train_validation(manifest, fraction=0.2, seed=5)
