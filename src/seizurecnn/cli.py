@@ -15,10 +15,11 @@ silently mis-gridding channels. Every command but synth writes its files
 through ``_commit``, so a failed command leaves its earlier output as it
 was and a reader never finds new files beside stale ones.
 
-Training several seeds at once honors SEIZURECNN_WORKERS (default 1)
-with one process per seed. Every seed runs even when another fails: each
-finished run directory is printed, each failure gets its own error line,
-and the exit code is that of the first failed seed.
+``train --seeds A..B`` preprocesses the training split once and then
+trains one seed after another in this process. Every seed runs even when
+another fails: each finished run directory is printed, each failure gets
+its own error line, and the exit code is that of the first failed seed.
+Seeds run in parallel as one ``train`` process per seed range.
 """
 
 from __future__ import annotations
@@ -28,11 +29,9 @@ import contextlib
 import dataclasses
 import os
 import sys
+import warnings
 import zipfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
-from multiprocessing import get_context
 from pathlib import Path
 
 from . import __version__
@@ -49,8 +48,6 @@ from .tensor import (RNG_ALGORITHM_ID, load_arrays, load_json, save_arrays,
                      save_json, seeded_rng)
 from .topologies import TOPOLOGIES, build_topology
 from .training import TrainConfig, fit
-
-WORKERS_ENV = "SEIZURECNN_WORKERS"
 
 RUN_FILE = "run.json"
 PARAMS_FILE = "parameters.npz"
@@ -125,17 +122,6 @@ def _parse_seeds(args, seed: int) -> list[int]:
     return [seed]
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise ConfigError(f"{WORKERS_ENV} must be >= 1, got {workers}")
-    return workers
-
-
 def _commit(directory: Path, files: dict) -> None:
     """Write ``files``, an ordered map from a path under ``directory`` to a
     writer ``f(path)`` or to None (delete the file), whole or not at all.
@@ -150,7 +136,7 @@ def _commit(directory: Path, files: dict) -> None:
         for target, tmp in staged.items():
             for d in reversed(target.parents):
                 if not d.is_dir():
-                    with contextlib.suppress(FileExistsError):  # a parallel seed made it first
+                    with contextlib.suppress(FileExistsError):  # another train process made it first
                         d.mkdir()
                         made.append(d)
             targets[target](tmp)
@@ -164,18 +150,14 @@ def _commit(directory: Path, files: dict) -> None:
         for tmp in staged.values():
             tmp.unlink(missing_ok=True)
         for d in reversed(made):
-            with contextlib.suppress(OSError):  # a parallel seed wrote into it
+            with contextlib.suppress(OSError):  # another train process wrote into it
                 d.rmdir()
         raise
 
 
-def _train_one(cfg_mapping: dict, manifest_path: str, subject: str, out: str) -> str:
-    """One complete training run; safe to call in a spawned worker."""
-    cfg = TrainConfig.from_mapping(cfg_mapping)
-    manifest = Manifest.load(manifest_path)
-    layout = manifest.layout_for(subject)
-    train_batch, _ = load_split_segments(manifest, subject, "train")
-
+def _train_one(cfg: TrainConfig, manifest_path: str, subject: str, layout,
+               train_batch, out: str) -> str:
+    """One complete training run over the loaded training segments."""
     run_rng = seeded_rng(cfg.seed)
     _, network = build_topology(cfg.topology, layout, run_rng.split("model"))
     state, history = fit(network, train_batch, cfg, run_rng.split("fit"), layout=layout)
@@ -194,31 +176,21 @@ def _train_one(cfg_mapping: dict, manifest_path: str, subject: str, out: str) ->
     return str(run_dir)
 
 
-def _print_run(run) -> int:
-    """Print the run directory ``run()`` returns, or its error line, and
-    return the exit code ``main`` would give for it."""
-    try:
-        print(run())
-    except SeizureCnnError as exc:
-        return _error_exit(exc)
-    return 0
-
-
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     manifest = Manifest.load(args.manifest)
     _require_subject(manifest, args.subject)
-    jobs = [(cfg.replace(seed=s).to_mapping(), str(args.manifest), args.subject,
-             str(args.out)) for s in _parse_seeds(args, cfg.seed)]
-    workers = min(_worker_count(), len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=get_context("spawn")) as pool:
-            futures = [pool.submit(_train_one, *job) for job in jobs]
-            codes = [_print_run(f.result) for f in futures]
-    else:
-        codes = [_print_run(partial(_train_one, *job)) for job in jobs]
-    return next((code for code in codes if code), 0)
+    configs = [cfg.replace(seed=s) for s in _parse_seeds(args, cfg.seed)]
+    layout = manifest.layout_for(args.subject)
+    train_batch, _ = load_split_segments(manifest, args.subject, "train")
+    code = 0
+    for seed_cfg in configs:
+        try:
+            print(_train_one(seed_cfg, args.manifest, args.subject, layout,
+                             train_batch, args.out))
+        except SeizureCnnError as exc:
+            code = code or _error_exit(exc)
+    return code
 
 
 def _load_trained(run_dir: Path, manifest_path: str | None):
@@ -423,10 +395,14 @@ def _error_exit(exc: SeizureCnnError) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except SeizureCnnError as exc:
-        return _error_exit(exc)
+    with warnings.catch_warnings():
+        # a library warning reads like the tool's other messages
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}",
+                                                         file=sys.stderr)
+        try:
+            return args.func(args)
+        except SeizureCnnError as exc:
+            return _error_exit(exc)
 
 
 if __name__ == "__main__":

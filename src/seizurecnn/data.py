@@ -359,17 +359,12 @@ def split_train_validation(manifest: Manifest, fraction: float = 0.2,
             if not stratum:
                 continue
             target = math.floor(fraction * len(stratum))
-            # group records into indivisible units, in manifest order
-            units: list[list[ClipRecord]] = []
-            by_group: dict[str, list[ClipRecord]] = {}
+            # indivisible units, a seizure group or an untagged clip, in manifest order
+            by_unit: dict[tuple[str, str], list[ClipRecord]] = {}
             for r in stratum:
-                if r.group is None:
-                    units.append([r])
-                elif r.group in by_group:
-                    by_group[r.group].append(r)
-                else:
-                    by_group[r.group] = [r]
-                    units.append(by_group[r.group])
+                key = ("clip", r.path) if r.group is None else ("group", r.group)
+                by_unit.setdefault(key, []).append(r)
+            units = list(by_unit.values())
             order = rng.split(f"{subject}/{label}").permutation(len(units))
             taken = 0
             for i in order:

@@ -19,8 +19,9 @@ gradient, and what the layer's backward reads:
   ReLU       the positive mask
   Sigmoid    the output
 
-An INFER-mode forward caches nothing and drops what an earlier TRAIN
-forward left, so ``backward`` after it raises RuntimeError.
+``backward`` lets go of the cache once it has read it, and an INFER-mode
+forward caches nothing and drops what an earlier TRAIN forward left, so a
+second ``backward``, or one after an INFER forward, raises RuntimeError.
 
 A layer names its persistent arrays once, in ``param_keys`` (learned,
 with the gradient of ``key`` in ``g_<key>``) and ``buffer_keys`` (kept
@@ -115,9 +116,11 @@ class Layer:
         return out
 
     def _kept(self, upstream: Tensor) -> tuple:
-        """What the last TRAIN forward kept, once ``upstream`` matches its output."""
+        """What the last TRAIN forward kept, once ``upstream`` matches its
+        output; the layer lets go of it, so a second backward raises."""
         self._check_upstream(upstream, None if self._cache is None else self._cache[0])
-        return self._cache[1]
+        cache, self._cache = self._cache[1], None
+        return cache
 
     def _check_upstream(self, upstream: Tensor, expected_shape) -> None:
         if expected_shape is None:

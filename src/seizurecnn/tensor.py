@@ -31,7 +31,6 @@ import numpy as np
 Tensor = np.ndarray
 
 FLOAT32 = np.float32
-FLOAT64 = np.float64
 DEFAULT_DTYPE = np.float32
 
 RNG_ALGORITHM_ID = "philox4x64-10/sha256-keyed-splits"

@@ -3,13 +3,15 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from seizurecnn import cli, training
-from seizurecnn.data import Manifest, load_clip, save_clip
+from seizurecnn.data import Manifest, load_clip, load_split_segments, save_clip
 from seizurecnn.errors import TrainingDivergedError
 from seizurecnn.evaluation import EvaluationReport
 from seizurecnn.tensor import load_arrays, save_arrays
@@ -253,33 +255,35 @@ class TestTrain:
         assert code == 3
         assert str(path) in capsys.readouterr().err
 
-    def test_invalid_worker_env(self, dataset_dir, tmp_path, monkeypatch):
-        for bad in ("zero?", "0"):
-            monkeypatch.setenv(cli.WORKERS_ENV, bad)
-            code = cli.main(["train", "--manifest", str(dataset_dir / "manifest.json"),
-                             "--subject", "synth01", "--epochs", "1",
-                             "--out", str(tmp_path)])
-            assert code == 2
+    def test_seed_range_preprocesses_once(self, dataset_dir, tmp_path, monkeypatch):
+        calls = []
 
-    def test_parallel_seed_runs(self, dataset_dir, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.WORKERS_ENV, "2")
-        code = cli.main(["train", "--manifest", str(dataset_dir / "manifest.json"),
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return load_split_segments(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_split_segments", counted)
+        assert cli.main(["train", "--manifest", str(dataset_dir / "manifest.json"),
                          "--subject", "synth01", "--epochs", "1",
-                         "--seeds", "7..8", "--out", str(tmp_path)])
-        assert code == 0
-        assert (tmp_path / "synth01_nv1x16_s0007" / "parameters.npz").exists()
-        assert (tmp_path / "synth01_nv1x16_s0008" / "parameters.npz").exists()
+                         "--seeds", "0..2", "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
 
-    def test_parallel_matches_serial(self, dataset_dir, tmp_path, monkeypatch):
-        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    def test_concurrent_processes_match_one(self, dataset_dir, tmp_path):
+        # two train processes may commit into one --out at once
+        one, two = tmp_path / "one", tmp_path / "two"
         args = ["train", "--manifest", str(dataset_dir / "manifest.json"),
-                "--subject", "synth01", "--epochs", "1", "--seeds", "4..5"]
-        monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
-        assert cli.main(args + ["--out", str(serial)]) == 0
-        monkeypatch.setenv(cli.WORKERS_ENV, "2")
-        assert cli.main(args + ["--out", str(parallel)]) == 0
-        assert _tree(parallel) == _tree(serial)
-        assert len(_tree(serial)) == 8  # two run directories of three files
+                "--subject", "synth01", "--epochs", "1"]
+        assert cli.main(args + ["--seeds", "4..5", "--out", str(one)]) == 0
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        procs = [subprocess.Popen([sys.executable, "-m", "seizurecnn.cli", *args,
+                                   "--seed", seed, "--out", str(two)], env=env,
+                                  stdout=subprocess.DEVNULL)
+                 for seed in ("4", "5")]
+        assert [proc.wait() for proc in procs] == [0, 0]
+        assert _tree(two) == _tree(one)
+        assert len(_tree(one)) == 8  # two run directories of three files
 
 
 class TestEvaluate:
@@ -421,7 +425,10 @@ class TestSplit:
         # rebased paths must resolve from the new directory
         clip = val_m.load_record(moved[0])
         assert clip.n_channels == 16
-        assert "1 clips moved to validation, 3 train clips remain" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "1 clips moved to validation, 3 train clips remain" in captured.out
+        assert captured.err == ("warning: synth01: validation receives no preictal clips "
+                                "at fraction 0.5\n")
 
     def test_failed_rerun_keeps_earlier_output(self, dataset_dir, tmp_path, monkeypatch):
         args = ["split", "--manifest", str(dataset_dir / "manifest.json"),
@@ -592,11 +599,15 @@ class TestNonFiniteSamples:
         assert cli.main(["predict", "--run", str(run_dir), str(path)]) == 3
         assert capsys.readouterr().out == ""
 
-    def test_train(self, poisoned_dir, tmp_path):
+    def test_train(self, poisoned_dir, tmp_path, capsys):
+        # the data error stops a seed range once, before its first seed
         code = cli.main(["train", "--manifest", str(poisoned_dir / "manifest.json"),
-                         "--subject", "synth01", "--epochs", "1", "--out", str(tmp_path)])
+                         "--subject", "synth01", "--epochs", "1", "--seeds", "0..2",
+                         "--out", str(tmp_path)])
         assert code == 3
         assert list(tmp_path.iterdir()) == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "NaN or infinite sample" in err[0]
 
     def test_preprocess(self, poisoned_dir, tmp_path):
         code = cli.main(["preprocess", "--manifest", str(poisoned_dir / "manifest.json"),

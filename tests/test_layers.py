@@ -341,7 +341,7 @@ class TestDenseAndActivations:
                 layer.backward(np.zeros((1, 2)))
 
 
-@pytest.mark.parametrize("make, shape", [
+EVERY_LAYER = pytest.mark.parametrize("make, shape", [
     pytest.param(lambda: make_conv(1, 2, (3,)), (2, 1, 6), id="conv"),
     pytest.param(lambda: MaxPool((2,)), (2, 1, 6), id="maxpool"),
     pytest.param(lambda: BatchNorm(1, dtype=np.float64), (2, 1, 6), id="batchnorm"),
@@ -351,12 +351,25 @@ class TestDenseAndActivations:
     pytest.param(lambda: ReLU(), (2, 6), id="relu"),
     pytest.param(lambda: Sigmoid(), (2, 6), id="sigmoid"),
 ])
+
+
+@EVERY_LAYER
 def test_backward_after_infer_forward_raises(make, shape):
     # an INFER forward drops the cache an earlier TRAIN forward left behind
     layer = make()
     x = seeded_rng(0).normal(size=shape)
     layer.forward(x, TRAIN, seeded_rng(1))
     out = layer.forward(x, INFER)
+    with pytest.raises(RuntimeError, match="train-mode forward"):
+        layer.backward(np.ones_like(out))
+
+
+@EVERY_LAYER
+def test_backward_again_raises(make, shape):
+    # backward lets go of the cache it has read
+    layer = make()
+    out = layer.forward(seeded_rng(0).normal(size=shape), TRAIN, seeded_rng(1))
+    layer.backward(np.ones_like(out))
     with pytest.raises(RuntimeError, match="train-mode forward"):
         layer.backward(np.ones_like(out))
 
