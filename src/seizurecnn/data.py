@@ -27,11 +27,9 @@ import os
 import struct
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import fftconvolve, firwin
 
 from .errors import (BadMagicError, ClipFormatError, ConfigError, DataError,
                      ManifestError, PayloadLengthError, UnsupportedVersionError)
@@ -86,8 +84,9 @@ def save_clip(clip: Clip, path) -> None:
 
 
 def load_clip(path) -> Clip:
-    """Read one clip file; a NaN or infinite sample, or a sample rate that
-    is not positive and finite, is a format error."""
+    """Read one clip file; no channels or no samples, a NaN or infinite
+    sample, or a sample rate that is not positive and finite, is a format
+    error."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -105,41 +104,56 @@ def load_clip(path) -> Clip:
         raise ClipFormatError(f"{path}: unknown label code {label_code}")
     if not (math.isfinite(rate) and rate > 0):
         raise ClipFormatError(f"{path}: sample rate {rate} Hz is not positive and finite")
+    if n_channels == 0 or n_samples == 0:
+        raise ClipFormatError(f"{path}: header claims an empty clip "
+                              f"({n_channels}x{n_samples} samples)")
     expected = n_channels * n_samples * 4
-    payload = raw[_HEADER.size:]
-    if len(payload) != expected:
+    payload_bytes = len(raw) - _HEADER.size
+    if payload_bytes != expected:
         raise PayloadLengthError(
             f"{path}: header claims {n_channels}x{n_samples} samples "
-            f"({expected} bytes) but payload holds {len(payload)}")
-    samples = np.frombuffer(payload, dtype="<f4").reshape(n_channels, n_samples).copy()
+            f"({expected} bytes) but payload holds {payload_bytes}")
+    samples = np.frombuffer(raw, "<f4", offset=_HEADER.size).reshape(n_channels, n_samples).copy()
     if not np.isfinite(samples).all():
         raise ClipFormatError(f"{path}: payload holds a NaN or infinite sample")
     return Clip(samples, rate, CODE_LABELS[label_code])
 
 
-@lru_cache(maxsize=None)
-def _antialias_taps() -> np.ndarray:
-    # 101-tap windowed-sinc lowpass, cutoff 80 Hz at 400 Hz, unit DC gain
-    return firwin(101, 80.0, fs=INGEST_RATE_HZ)
+# 101-tap Hamming-windowed sinc lowpass, cutoff 80 Hz at 400 Hz (0.4 of
+# Nyquist), scaled to unit DC gain
+ANTIALIAS_TAPS = np.sinc(0.4 * np.arange(-50, 51)) * np.hamming(101)
+ANTIALIAS_TAPS /= ANTIALIAS_TAPS.sum()
+ANTIALIAS_TAPS.flags.writeable = False
 
 
 def decimate(clip: Clip) -> Clip:
     """Halve the sample rate from 400 Hz to 200 Hz.
 
-    Filters first (zero phase: symmetric FIR over a symmetrically
-    edge-padded signal), then keeps every second sample starting at
-    index 0.
+    Zero-phase anti-alias filtering (the symmetric FIR over a
+    symmetrically edge-padded signal), keeping every second sample
+    starting at index 0. Only the kept outputs are computed, one channel
+    at a time in polyphase form: output k is sum_j taps[j] * padded[2k + j],
+    the even taps over the even samples plus the odd taps over the odd
+    ones, each correlation an FFT product in 64-bit.
     """
     if clip.sample_rate_hz != INGEST_RATE_HZ:
         raise DataError(f"decimate expects a {INGEST_RATE_HZ:g} Hz clip, "
                         f"got {clip.sample_rate_hz:g} Hz")
     if clip.n_samples % 2 != 0:
         raise DataError(f"decimate needs an even sample count, got {clip.n_samples}")
-    taps = _antialias_taps()
-    half = (len(taps) - 1) // 2
-    padded = np.pad(clip.samples, ((0, 0), (half, half)), mode="symmetric")
-    filtered = fftconvolve(padded, taps[None, :], mode="valid")
-    return Clip(filtered[:, ::2].astype(FLOAT32), TARGET_RATE_HZ, clip.label)
+    half = (len(ANTIALIAS_TAPS) - 1) // 2
+    n_out = clip.n_samples // 2
+    # each phase holds n_out + half samples; an FFT at least that long
+    # computes every kept output without circular wrap-around
+    nfft = 1 << (n_out + half - 1).bit_length()
+    even = np.conj(np.fft.rfft(ANTIALIAS_TAPS[0::2], nfft))
+    odd = np.conj(np.fft.rfft(ANTIALIAS_TAPS[1::2], nfft))
+    out = np.empty((clip.n_channels, n_out), dtype=FLOAT32)
+    for c, row in enumerate(clip.samples):
+        padded = np.pad(row.astype(np.float64), half, mode="symmetric")
+        spectrum = np.fft.rfft(padded[0::2], nfft) * even + np.fft.rfft(padded[1::2], nfft) * odd
+        out[c] = np.fft.irfft(spectrum, nfft)[:n_out]
+    return Clip(out, TARGET_RATE_HZ, clip.label)
 
 
 STD_FLOOR = 1e-8
@@ -151,11 +165,11 @@ def znormalize(clip: Clip) -> Clip:
     Statistics are computed in 64-bit; constant channels map to zero via
     the variance floor.
     """
-    x = clip.samples.astype(np.float64)
-    mean = x.mean(axis=1, keepdims=True)
-    std = x.std(axis=1, keepdims=True)
-    out = (x - mean) / np.maximum(std, STD_FLOOR)
-    return Clip(out.astype(FLOAT32), clip.sample_rate_hz, clip.label)
+    out = np.empty_like(clip.samples)
+    for c, row in enumerate(clip.samples):
+        x = row.astype(np.float64)
+        out[c] = (x - x.mean()) / max(x.std(), STD_FLOOR)
+    return Clip(out, clip.sample_rate_hz, clip.label)
 
 
 @dataclass

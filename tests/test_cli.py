@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from seizurecnn import cli, training
-from seizurecnn.data import Manifest, load_clip, load_split_segments, save_clip
+from seizurecnn.data import (CLIP_MAGIC, CLIP_VERSION, _HEADER, Manifest, load_clip,
+                             load_split_segments, save_clip)
 from seizurecnn.errors import TrainingDivergedError
 from seizurecnn.evaluation import EvaluationReport
 from seizurecnn.tensor import load_arrays, save_arrays
@@ -614,6 +615,40 @@ class TestNonFiniteSamples:
                          "--out", str(tmp_path)])
         assert code == 3
         assert not (tmp_path / "manifest.json").exists()
+
+
+class TestEmptyClip:
+    """A clip whose header claims no samples is a data error (exit 3) for
+    every command that reads it, not a crash inside preprocessing."""
+
+    @pytest.fixture(scope="class")
+    def empty_dir(self, tmp_path_factory, dataset_dir):
+        root = tmp_path_factory.mktemp("empty")
+        shutil.copytree(dataset_dir, root, dirs_exist_ok=True)
+        manifest = Manifest.load(root / "manifest.json")
+        for split in ("train", "test"):
+            record = manifest.select(split=split, label="interictal")[0]
+            manifest.clip_path(record).write_bytes(
+                _HEADER.pack(CLIP_MAGIC, CLIP_VERSION, 16, 0, 400.0, 0, 0))
+        return root
+
+    @pytest.mark.parametrize("command", ["preprocess", "train", "evaluate", "predict"])
+    def test_exits_3(self, command, empty_dir, run_dir, tmp_path, capsys):
+        manifest = str(empty_dir / "manifest.json")
+        clone = tmp_path / "clone"
+        clone.mkdir()
+        for name in ("run.json", "parameters.npz"):
+            (clone / name).write_bytes((run_dir / name).read_bytes())
+        test_clip = Manifest.load(manifest).select(split="test", label="interictal")[0]
+        argv = {"preprocess": ["--manifest", manifest, "--out", str(tmp_path / "out")],
+                "train": ["--manifest", manifest, "--subject", "synth01", "--epochs", "1",
+                          "--out", str(tmp_path / "out")],
+                "evaluate": ["--run", str(clone), "--manifest", manifest],
+                "predict": ["--run", str(clone), str(empty_dir / test_clip.path)]}[command]
+        assert cli.main([command, *argv]) == 3
+        assert "empty clip" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert sorted(p.name for p in clone.iterdir()) == ["parameters.npz", "run.json"]
 
 
 class TestReport:

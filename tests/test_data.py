@@ -1,16 +1,20 @@
 import json
 import math
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.signal import fftconvolve, firwin
 
-from seizurecnn.data import (CLIP_MAGIC, CLIP_VERSION, Clip, ClipRecord, Manifest,
-                             SegmentBatch, bandpower_score, cook, decimate, generate_synthetic,
-                             load_clip, load_split_segments, preprocess_clip,
-                             save_clip, segment, split_train_validation,
+from seizurecnn.data import (ANTIALIAS_TAPS, CLIP_MAGIC, CLIP_VERSION, STD_FLOOR, Clip,
+                             ClipRecord, Manifest, SegmentBatch, bandpower_score, cook,
+                             decimate, generate_synthetic, load_clip, load_split_segments,
+                             preprocess_clip, save_clip, segment, split_train_validation,
                              znormalize, _HEADER, _burst_envelope, _colored_noise)
 from seizurecnn.errors import (BadMagicError, ClipFormatError, ConfigError,
                                DataError, ManifestError, PayloadLengthError,
@@ -86,6 +90,13 @@ class TestClipIO:
         with pytest.raises(DataError):
             load_clip(tmp_path / "absent.clip")
 
+    @pytest.mark.parametrize("channels,samples", [(16, 0), (0, 6000), (0, 0)])
+    def test_empty_clip(self, tmp_path, channels, samples):
+        path = tmp_path / "a.clip"
+        path.write_bytes(_HEADER.pack(CLIP_MAGIC, CLIP_VERSION, channels, samples, 400.0, 0, 0))
+        with pytest.raises(ClipFormatError, match="a.clip"):
+            load_clip(path)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_sample(self, tmp_path, bad):
         clip = noise_clip()
@@ -138,6 +149,20 @@ class TestDecimate:
         with pytest.raises(DataError):
             decimate(noise_clip(rate=200.0))
 
+    def test_taps_match_firwin(self):
+        assert np.max(np.abs(ANTIALIAS_TAPS - firwin(101, 80.0, fs=400.0))) < 1e-15
+
+    @pytest.mark.parametrize("n_samples", [240000, 6000])
+    def test_matches_scipy_filter(self, n_samples):
+        # the earlier path: full-rate FFT convolution of the edge-padded
+        # clip with scipy's taps, then every second sample
+        clip = noise_clip(n_samples)
+        padded = np.pad(clip.samples, ((0, 0), (50, 50)), mode="symmetric")
+        ref = fftconvolve(padded, firwin(101, 80.0, fs=400.0)[None, :], mode="valid")[:, ::2]
+        out = decimate(clip).samples
+        assert out.dtype == np.float32
+        assert np.max(np.abs(out - ref)) < 5e-7 * np.max(np.abs(ref))
+
 
 class TestZnormalize:
     def test_unit_statistics(self):
@@ -162,6 +187,16 @@ class TestZnormalize:
         clip = Clip(np.ones((16, 3000)), 200.0, "preictal")
         out = znormalize(clip)
         assert (out.label, out.sample_rate_hz) == ("preictal", 200.0)
+
+    @pytest.mark.parametrize("n_samples", [3000, 6001])
+    def test_rows_match_whole_clip_statistics(self, n_samples):
+        clip = noise_clip(n_samples)
+        clip.samples[:] = clip.samples * 7.0 + 3.0
+        clip.samples[5] = 2.5
+        x = clip.samples.astype(np.float64)
+        whole = (x - x.mean(axis=1, keepdims=True)) / np.maximum(x.std(axis=1, keepdims=True),
+                                                                 STD_FLOOR)
+        assert np.array_equal(znormalize(clip).samples, whole.astype(np.float32))
 
 
 class TestSegment:
@@ -222,6 +257,24 @@ class TestPreprocessClip:
     def test_unsupported_rate(self):
         with pytest.raises(DataError):
             preprocess_clip(noise_clip(rate=500.0))
+
+    def test_peak_memory_below_twice_input(self):
+        clip = noise_clip(240000)
+        tracemalloc.start()
+        try:
+            preprocess_clip(clip)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * clip.samples.nbytes
+
+
+def test_runtime_imports_no_scipy():
+    code = ("import sys, seizurecnn, seizurecnn.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def toy_manifest(tmp_path, n_train=4, n_test=2):
@@ -365,6 +418,7 @@ class TestParserFuzz:
         except DataError:
             return
         assert math.isfinite(clip.sample_rate_hz) and clip.sample_rate_hz > 0
+        assert clip.samples.size > 0
         assert np.isfinite(clip.samples).all()
 
     def check_manifest(self, path):
