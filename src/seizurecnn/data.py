@@ -61,6 +61,8 @@ class Clip:
         self.samples = np.asarray(self.samples, dtype=FLOAT32)
         if self.samples.ndim != 2:
             raise DataError(f"clip samples must be 2-D (channels, samples), got {self.samples.shape}")
+        if 0 in self.samples.shape:
+            raise DataError(f"clip has no samples: shape {self.samples.shape}")
         if self.label not in LABELS:
             raise DataError(f"clip label must be one of {LABELS}, got {self.label!r}")
         self.sample_rate_hz = float(self.sample_rate_hz)

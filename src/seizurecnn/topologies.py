@@ -20,11 +20,15 @@ orders pass no gradient through a window whose maximum is <= 0; the ReLU
 then runs on a tensor the pool has already shrunk 2 to 10 times.
 
 Each topology is one row of GRIDS: its spatial grid ahead of the time
-axis and the ElectrodeLayout coordinates that index that grid, outermost
-first.  Sorting the channels by those coordinates puts them in grid
-order: nv1x16 uses none and ignores the layout, nv4x4 sorts by strip and
-contact, and nv2x2x4 by hemisphere, strip and contact.  Each hemisphere
-holds two whole strips, so the sort ranks a strip within its hemisphere.
+axis, the ElectrodeLayout coordinates that index that grid, outermost
+first, and a block column holding each block's spatial (kernel, pool)
+extents, to which TIME_BLOCKS appends the time axis.  Sorting the
+channels by those coordinates puts them in grid order: nv1x16 uses none
+and ignores the layout, nv4x4 sorts by strip and contact, and nv2x2x4 by
+hemisphere, strip and contact.  Each hemisphere holds two whole strips,
+so the sort ranks a strip within its hemisphere.  The builder derives the
+rest: the layer stack from the block column and the dense input width
+from the grid cells the pools leave.
 """
 
 from __future__ import annotations
@@ -43,11 +47,18 @@ from .tensor import RngStream, Tensor, load_json, save_json
 N_CHANNELS = 16
 SEGMENT_SAMPLES = 3000
 
-#: per topology: (spatial grid ahead of time, layout coordinates indexing it)
+#: per topology: (spatial grid ahead of time, layout coordinates indexing it,
+#: the spatial (kernel, pool) extents of blocks 1..6)
 GRIDS = {
-    "nv1x16": ((N_CHANNELS,), ()),
-    "nv4x4": ((4, 4), ("strips", "contacts")),
-    "nv2x2x4": ((2, 2, 4), ("hemispheres", "strips", "contacts")),
+    "nv1x16": ((N_CHANNELS,), (), (
+        ((1,), (1,)), ((1,), (1,)), ((1,), (1,)),
+        ((1,), (1,)), ((1,), (1,)), ((1,), (1,)))),
+    "nv4x4": ((4, 4), ("strips", "contacts"), (
+        ((1, 2), (1, 1)), ((1, 2), (1, 2)), ((1, 2), (1, 2)),
+        ((1, 1), (1, 1)), ((1, 1), (1, 1)), ((1, 1), (1, 1)))),
+    "nv2x2x4": ((2, 2, 4), ("hemispheres", "strips", "contacts"), (
+        ((1, 1, 2), (1, 1, 2)), ((1, 1, 2), (1, 1, 2)), ((1, 2, 1), (1, 2, 1)),
+        ((2, 1, 1), (2, 1, 1)), ((1, 1, 1), (1, 1, 1)), ((1, 1, 1), (1, 1, 1)))),
 }
 TOPOLOGIES = tuple(GRIDS)
 
@@ -235,22 +246,8 @@ class ModelSpec:
 
 def _block_geometry(topology: str) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
     """(kernel extents, pool extents, feature maps) per block, time axis last."""
-    rows = []
-    for i, (kt, pt, maps) in enumerate(TIME_BLOCKS):
-        if topology == "nv1x16":
-            kernel: tuple[int, ...] = (1, kt)
-            pool: tuple[int, ...] = (1, pt)
-        elif topology == "nv4x4":
-            kernel = (1, 2 if i < 3 else 1, kt)
-            pool = (1, 2 if i in (1, 2) else 1, pt)
-        else:
-            contact = 2 if i < 2 else 1
-            strip = 2 if i == 2 else 1
-            hemi = 2 if i == 3 else 1
-            kernel = (hemi, strip, contact, kt)
-            pool = (hemi, strip, contact, pt)
-        rows.append((kernel, pool, maps))
-    return rows
+    return [(kernel + (kt,), pool + (pt,), maps)
+            for (kernel, pool), (kt, pt, maps) in zip(GRIDS[topology][2], TIME_BLOCKS)]
 
 
 def build_topology(topology: str, layout: ElectrodeLayout | None,
@@ -267,27 +264,19 @@ def build_topology(topology: str, layout: ElectrodeLayout | None,
     init = rng.split("init")
 
     layers: list = [BatchNorm(1, name="bn_in")]
-    extents = list(grid)
+    blocks = _block_geometry(topology)
     maps_in = 1
-    time_chain = []
-    for i, (kernel, pool, maps) in enumerate(_block_geometry(topology), start=1):
+    for i, (kernel, pool, maps) in enumerate(blocks, start=1):
         layers += [
             Conv(maps_in, maps, kernel, init.split(f"conv{i}"), name=f"conv{i}"),
             BatchNorm(maps, name=f"bn{i}"),
             MaxPool(pool, name=f"pool{i}"),
             ReLU(name=f"act{i}"),
         ]
-        for axis, p in enumerate(pool):
-            if extents[axis] % p != 0:
-                raise AssertionError(
-                    f"{topology} block {i}: extent {extents[axis]} not divisible by pool {p}")
-        extents = [e // p for e, p in zip(extents, pool)]
-        time_chain.append(extents[-1])
         maps_in = maps
-
-    assert time_chain == [600, 120, 24, 6, 2, 1], time_chain
-    assert extents[-1] == 1
-    flat = maps_in * int(np.prod(extents))
+    # the dense head reads every grid cell the pools leave
+    cells = np.array(grid) // np.prod([pool for _, pool, _ in blocks], axis=0)
+    flat = maps_in * int(cells.prod())
 
     layers += [
         Flatten(name="flatten"),

@@ -105,8 +105,8 @@ class TrainConfig:
 def class_weights(n_preictal: int, n_interictal: int) -> tuple[float, float]:
     """(w_pos, w_neg) with w_c = N / (2 n_c), so both classes carry equal mass."""
     if n_preictal < 1 or n_interictal < 1:
-        raise DegenerateTrainingSetError(
-            f"need both classes, got {n_preictal} preictal and {n_interictal} interictal")
+        raise DegenerateTrainingSetError(f"training set needs both classes, got "
+                                         f"{n_preictal} preictal and {n_interictal} interictal")
     total = n_preictal + n_interictal
     return total / (2.0 * n_preictal), total / (2.0 * n_interictal)
 
@@ -225,12 +225,8 @@ def fit(network: Network, train, cfg: TrainConfig, rng: RngStream,
     labels = np.asarray(train.labels)
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
-    if n_pos == 0 or n_neg == 0:
-        raise DegenerateTrainingSetError(
-            f"training set needs both classes, got {n_pos} preictal and {n_neg} interictal")
-    if cfg.class_weighting == "balanced":
-        w_pos, w_neg = class_weights(n_pos, n_neg)
-    else:
+    w_pos, w_neg = class_weights(n_pos, n_neg)  # raises unless both classes are present
+    if cfg.class_weighting == "none":
         w_pos, w_neg = 1.0, 1.0
 
     n = train.segments.shape[0]

@@ -111,6 +111,9 @@ class TestClipIO:
             Clip(np.zeros(10), 400.0)
         with pytest.raises(DataError):
             Clip(np.zeros((2, 10)), 400.0, label="ictal")
+        for empty in [(16, 0), (0, 6000)]:
+            with pytest.raises(DataError, match="no samples"):
+                Clip(np.zeros(empty), 400.0)
 
 
 class TestDecimate:

@@ -6,8 +6,8 @@ import pytest
 from seizurecnn.errors import ConfigError, LayoutError
 from seizurecnn.layers import INFER, TRAIN, Network
 from seizurecnn.tensor import seeded_rng
-from seizurecnn.topologies import (TOPOLOGIES, ElectrodeLayout, build_topology,
-                                   input_grid, reshape_batch)
+from seizurecnn.topologies import (TOPOLOGIES, ElectrodeLayout, _block_geometry,
+                                   build_topology, input_grid, reshape_batch)
 
 
 def shuffled_layout(seed):
@@ -173,6 +173,17 @@ class TestReshape:
 class TestBuildTopology:
     PARAM_COUNTS = {"nv1x16": 176835, "nv4x4": 86291, "nv2x2x4": 69907}
     FLAT_WIDTHS = {"nv1x16": 2048, "nv4x4": 512, "nv2x2x4": 128}
+    #: per topology: the kernel and the pool extents of blocks 1..6, time last
+    GEOMETRY = {
+        "nv1x16": ([(1, 5), (1, 5), (1, 5), (1, 4), (1, 3), (1, 2)],
+                   [(1, 5), (1, 5), (1, 5), (1, 4), (1, 3), (1, 2)]),
+        "nv4x4": ([(1, 2, 5), (1, 2, 5), (1, 2, 5), (1, 1, 4), (1, 1, 3), (1, 1, 2)],
+                  [(1, 1, 5), (1, 2, 5), (1, 2, 5), (1, 1, 4), (1, 1, 3), (1, 1, 2)]),
+        "nv2x2x4": ([(1, 1, 2, 5), (1, 1, 2, 5), (1, 2, 1, 5),
+                     (2, 1, 1, 4), (1, 1, 1, 3), (1, 1, 1, 2)],
+                    [(1, 1, 2, 5), (1, 1, 2, 5), (1, 2, 1, 5),
+                     (2, 1, 1, 4), (1, 1, 1, 3), (1, 1, 1, 2)]),
+    }
 
     def build(self, topology, seed=0):
         return build_topology(topology, ElectrodeLayout.default(),
@@ -183,6 +194,14 @@ class TestBuildTopology:
         spec, network = self.build(topology)
         assert spec.n_layers == 31
         assert len(network.layers) == 32  # flatten is in the stack but not counted
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_block_geometry_pinned(self, topology):
+        kernels, pools = self.GEOMETRY[topology]
+        assert _block_geometry(topology) == list(zip(kernels, pools, [16, 32, 32, 64, 64, 128]))
+        spec, _ = self.build(topology)
+        assert [d.kernel for d in spec.layers if d.kind == "conv"] == kernels
+        assert [d.pool for d in spec.layers if d.kind == "maxpool"] == pools
 
     @pytest.mark.parametrize("topology", TOPOLOGIES)
     def test_spec_describes_network(self, topology):

@@ -269,8 +269,10 @@ class TestFit:
     def test_single_class_rejected(self):
         batch = separable_batch()
         batch.labels[:] = 1
-        with pytest.raises(DegenerateTrainingSetError):
-            fit(toy_network(), batch, self.cfg(), seeded_rng(0).split("fit"))
+        for weighting in ("balanced", "none"):
+            with pytest.raises(DegenerateTrainingSetError):
+                fit(toy_network(), batch, self.cfg(class_weighting=weighting),
+                    seeded_rng(0).split("fit"))
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_divergence_detected(self):
