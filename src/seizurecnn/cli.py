@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import dataclasses
 import os
 import sys
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .data import (Manifest, cook, generate_synthetic, load_clip,
+from .data import (SPLITS, Manifest, cook, generate_synthetic, load_clip,
                    load_split_segments, save_clip, split_train_validation)
 # unused here; kept importable from cli because perfbench/tests/test_spans.py
 # checks that tracing wraps cli.preprocess_clip along with data's
@@ -81,24 +82,27 @@ class RunManifest:
             raise DataError(f"run manifest {path} records {legacy!r} decimation; "
                             f"only FIR decimation can re-score it")
         try:
-            return cls(**obj)
+            run = cls(**obj)
         except TypeError as exc:
             raise DataError(f"run manifest {path} is malformed: {exc}") from exc
+        if run.topology not in TOPOLOGIES:
+            raise DataError(f"run manifest {path} names unknown topology {run.topology!r}")
+        return run
 
 
 def _load_config(args) -> TrainConfig:
     """Config file plus flag overrides, validated fail-closed."""
     keys: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         obj = load_json(args.config, "config", ConfigError)
         if not isinstance(obj, dict):
             raise ConfigError(f"config {args.config} must be a JSON mapping")
         keys.update(obj)
-    if getattr(args, "topology", None):
+    if args.topology:
         keys["topology"] = args.topology
-    if getattr(args, "epochs", None) is not None:
+    if args.epochs is not None:
         keys["epochs"] = args.epochs
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         keys["seed"] = args.seed
     return TrainConfig.from_mapping(keys)
 
@@ -302,13 +306,18 @@ def cmd_report(args) -> int:
     groups = {key: aggregate_runs(group) for key, group in sorted(reports.items())}
     aggregates = {"groups": [g.to_mapping() for g in groups.values()],
                   "skipped": sorted(skipped)}
-    # mean-AUC grid, subjects down, topologies across
-    table = "subject," + ",".join(TOPOLOGIES) + "\n"
-    for subject in sorted({s for s, _ in reports}):
-        cells = [f"{groups[subject, t].mean:.6f}" if (subject, t) in groups else ""
-                 for t in TOPOLOGIES]
-        table += subject + "," + ",".join(cells) + "\n"
-    _commit(Path(args.out), {"auc_table.csv": lambda path: path.write_text(table),
+
+    def write_table(path):
+        """Mean-AUC grid, subjects down, topologies across."""
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["subject", *TOPOLOGIES])
+            for subject in sorted({s for s, _ in reports}):
+                writer.writerow([subject] + [f"{groups[subject, t].mean:.6f}"
+                                             if (subject, t) in groups else ""
+                                             for t in TOPOLOGIES])
+
+    _commit(Path(args.out), {"auc_table.csv": write_table,
                              "aggregates.json": lambda path: save_json(path, aggregates)})
 
     for g in groups.values():
@@ -351,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("train", help="train one subject/topology over seeds")
-    p.add_argument("--config", help="JSON file of TrainConfig keys")
+    p.add_argument("--config", help="JSON mapping of any of the keys topology, seed, "
+                   "epochs, batch_size and learning_rate")
     p.add_argument("--manifest", required=True)
     p.add_argument("--subject", required=True)
     p.add_argument("--topology", choices=TOPOLOGIES)
@@ -365,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score a trained run on a labeled split")
     p.add_argument("--run", required=True, help="run directory from train")
     p.add_argument("--manifest", help="defaults to the manifest recorded in run.json")
-    p.add_argument("--split", choices=("train", "test", "validation"), default="test")
+    p.add_argument("--split", choices=SPLITS, default="test")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("predict", help="probability for one clip file")

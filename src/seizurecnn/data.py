@@ -39,8 +39,8 @@ from .topologies import N_CHANNELS, SEGMENT_SAMPLES, ElectrodeLayout
 INGEST_RATE_HZ = 400.0
 TARGET_RATE_HZ = 200.0
 
-LABELS = ("interictal", "preictal", "unknown")
 LABEL_CODES = {"interictal": 0, "preictal": 1, "unknown": 255}
+LABELS = tuple(LABEL_CODES)
 CODE_LABELS = {code: label for label, code in LABEL_CODES.items()}
 
 SPLITS = ("train", "test", "validation")
@@ -411,7 +411,15 @@ def load_split_segments(manifest: Manifest, subject: str,
                         np.concatenate([b.labels for b in batches])), records
 
 
-def bandpower_score(clip: Clip, band: tuple[float, float] = (18.0, 24.0)) -> float:
+BURST_BAND_HZ = (18.0, 24.0)
+BURST_SECONDS = (1.0, 3.0)
+BURST_GAP_SECONDS = (3.5, 5.8)  # with 1-3 s bursts this sets duty near 30%
+BURST_RAMP_SECONDS = 0.1
+BURST_AMPLITUDE = math.sqrt(2.0)  # unit burst power, so 0 dB against the noise
+MIN_BURST_CHANNELS = 8
+
+
+def bandpower_score(clip: Clip, band: tuple[float, float] = BURST_BAND_HZ) -> float:
     """Mean periodogram power over channels inside the band.
 
     This is the fixed oracle for synthetic data: no training involved,
@@ -436,14 +444,6 @@ def _colored_noise(rng: RngStream, n_channels: int, n_samples: int) -> np.ndarra
     shaped = np.fft.irfft(spectrum * scale, n=n_samples, axis=1)
     std = shaped.std(axis=1, keepdims=True)
     return shaped / np.maximum(std, STD_FLOOR)
-
-
-BURST_BAND_HZ = (18.0, 24.0)
-BURST_SECONDS = (1.0, 3.0)
-BURST_GAP_SECONDS = (3.5, 5.8)  # with 1-3 s bursts this sets duty near 30%
-BURST_RAMP_SECONDS = 0.1
-BURST_AMPLITUDE = math.sqrt(2.0)  # unit burst power, so 0 dB against the noise
-MIN_BURST_CHANNELS = 8
 
 
 def _burst_envelope(n: int, ramp: int) -> np.ndarray:

@@ -112,11 +112,14 @@ class EvaluationReport:
 
     @classmethod
     def from_mapping(cls, obj: dict) -> "EvaluationReport":
+        auc = obj["auc"]
+        if isinstance(auc, bool) or not isinstance(auc, (int, float)) or not 0 <= auc <= 1:
+            raise TypeError(f"auc must be a number in [0, 1], got {auc!r}")
         preds = [ClipPrediction(c["clip_id"], c["label"], c["segment_probabilities"],
                                 c["clip_probability"]) for c in obj["clips"]]
         roc = obj.get("roc", {})
         return cls(obj["subject"], obj["topology"], obj.get("seed"), preds,
-                   obj["auc"], obj["n_preictal"], obj["n_interictal"],
+                   auc, obj["n_preictal"], obj["n_interictal"],
                    roc.get("fpr", []), roc.get("tpr", []),
                    [float(t) for t in roc.get("thresholds", [])])
 

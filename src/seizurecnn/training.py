@@ -28,7 +28,13 @@ from .topologies import input_grid, reshape_batch
 
 BCE_CLAMP = 1e-7
 
-CLASS_WEIGHTING_MODES = ("balanced", "none")
+# Every run trains with these: Kingma & Ba's ADAM defaults and the paper's
+# tiny L1/L2 penalties. Classes are always weighted by class_weights.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+L1_PENALTY = 1e-9
+L2_PENALTY = 1e-9
 
 
 @dataclass(frozen=True)
@@ -38,12 +44,6 @@ class TrainConfig:
     epochs: int = 50
     batch_size: int = 32
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_epsilon: float = 1e-8
-    l1: float = 1e-9
-    l2: float = 1e-9
-    class_weighting: str = "balanced"
 
     def validate(self) -> "TrainConfig":
         input_grid(self.topology)  # the one check for an unknown topology
@@ -55,18 +55,6 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
         if not self.learning_rate > 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            if not 0 < value < 1:
-                raise ConfigError(f"{name} must be in (0, 1), got {value}")
-        if not self.adam_epsilon > 0:
-            raise ConfigError(f"adam_epsilon must be positive, got {self.adam_epsilon}")
-        if self.l1 < 0 or self.l2 < 0:
-            raise ConfigError(f"l1 and l2 must be nonnegative, got {self.l1}, {self.l2}")
-        if self.class_weighting not in CLASS_WEIGHTING_MODES:
-            raise ConfigError(
-                f"class_weighting must be one of {CLASS_WEIGHTING_MODES}, "
-                f"got {self.class_weighting!r}")
         return self
 
     @classmethod
@@ -143,15 +131,15 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, Tensor],
               state: AdamState, cfg: TrainConfig) -> None:
     """One ADAM update, in place on the parameter arrays."""
     state.t += 1
-    bias1 = 1.0 - cfg.beta1 ** state.t
-    bias2 = 1.0 - cfg.beta2 ** state.t
+    bias1 = 1.0 - ADAM_BETA1 ** state.t
+    bias2 = 1.0 - ADAM_BETA2 ** state.t
     for name, w in params.items():
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
-        m[...] = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v[...] = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
-        w -= cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + cfg.adam_epsilon)
+        m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
+        w -= cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPSILON)
 
 
 def batch_loss_and_grads(network: Network, x: Tensor, y: Tensor,
@@ -226,8 +214,6 @@ def fit(network: Network, train, cfg: TrainConfig, rng: RngStream,
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     w_pos, w_neg = class_weights(n_pos, n_neg)  # raises unless both classes are present
-    if cfg.class_weighting == "none":
-        w_pos, w_neg = 1.0, 1.0
 
     n = train.segments.shape[0]
     shuffle_rng = rng.split("shuffle")
@@ -245,7 +231,7 @@ def fit(network: Network, train, cfg: TrainConfig, rng: RngStream,
             # only this batch goes on the topology grid, never a copy of the subject
             x = reshape_batch(train.segments[idx], cfg.topology, layout)
             loss, grads = batch_loss_and_grads(
-                network, x, labels[idx], w_pos, w_neg, cfg.l1, cfg.l2, dropout_rng)
+                network, x, labels[idx], w_pos, w_neg, L1_PENALTY, L2_PENALTY, dropout_rng)
             where = f"at epoch {epoch}, batch {len(batch_losses) + 1}"
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite loss {loss} {where}")

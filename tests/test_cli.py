@@ -1,5 +1,6 @@
 """End-to-end command tests driving cli.main with in-process argv."""
 
+import csv
 import json
 import os
 import shutil
@@ -164,6 +165,24 @@ class TestTrain:
                          "--manifest", str(dataset_dir / "manifest.json"),
                          "--subject", "synth01", "--out", str(tmp_path)])
         assert code == 2
+
+    def test_run_json_records_the_five_settings(self, run_dir):
+        run = json.loads((run_dir / "run.json").read_text())
+        assert set(run["config"]) == {"topology", "seed", "epochs", "batch_size",
+                                      "learning_rate"}
+
+    @pytest.mark.parametrize("key", ["beta1", "beta2", "adam_epsilon", "l1", "l2",
+                                     "class_weighting"])
+    def test_config_file_with_fixed_setting(self, key, dataset_dir, tmp_path, capsys):
+        # the ADAM, penalty and class-weighting values are constants, not keys
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 0.9}))
+        code = cli.main(["train", "--config", str(cfg),
+                         "--manifest", str(dataset_dir / "manifest.json"),
+                         "--subject", "synth01", "--out", str(tmp_path / "runs")])
+        assert code == 2
+        assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_flag_overrides_config_file(self, dataset_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -363,6 +382,22 @@ class TestEvaluate:
         assert (tmp_path / "fir" / "report.json").read_bytes() == expected
         assert not (tmp_path / "naive" / "report.json").exists()
         assert str(tmp_path / "naive" / "run.json") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_unknown_topology_in_run_manifest(self, command, run_dir, dataset_dir,
+                                              tmp_path, capsys):
+        clone = tmp_path / "clone"
+        clone.mkdir()
+        (clone / "parameters.npz").write_bytes((run_dir / "parameters.npz").read_bytes())
+        run = json.loads((run_dir / "run.json").read_text())
+        (clone / "run.json").write_text(json.dumps({**run, "topology": "nv9"}))
+        manifest = Manifest.load(dataset_dir / "manifest.json")
+        clip = str(manifest.clip_path(manifest.select(split="test")[0]))
+        argv = {"evaluate": [], "predict": [clip]}[command]
+        assert cli.main([command, "--run", str(clone), *argv]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "'nv9'" in err[0]
+        assert sorted(p.name for p in clone.iterdir()) == ["parameters.npz", "run.json"]
 
     def test_missing_run_dir(self, tmp_path):
         assert cli.main(["evaluate", "--run", str(tmp_path / "nope")]) == 3
@@ -686,6 +721,30 @@ class TestReport:
         stdout = capsys.readouterr().out
         assert "s1 nv1x16: n=3" in stdout
         assert "skipped" in stdout
+
+    def test_subject_with_comma(self, tmp_path):
+        runs = [self.fabricate_run(tmp_path, "dog,1", "nv4x4", 0, 0.7),
+                self.fabricate_run(tmp_path, "s1", "nv1x16", 0, 0.8)]
+        out = tmp_path / "summary"
+        assert cli.main(["report", *map(str, runs), "--out", str(out)]) == 0
+        with open(out / "auc_table.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["subject", "nv1x16", "nv4x4", "nv2x2x4"],
+                        ["dog,1", "", "0.700000", ""],
+                        ["s1", "0.800000", "", ""]]
+
+    @pytest.mark.parametrize("auc", ["high", None, True, 1.5, -0.1])
+    def test_auc_not_a_probability(self, auc, tmp_path, capsys):
+        good = self.fabricate_run(tmp_path, "s1", "nv1x16", 0, 0.8)
+        out = tmp_path / "summary"
+        assert cli.main(["report", str(good), "--out", str(out)]) == 0
+        before = _tree(out)
+        bad = self.fabricate_run(tmp_path, "s1", "nv1x16", 1, auc)
+        capsys.readouterr()
+        assert cli.main(["report", str(good), str(bad), "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "auc" in err[0]
+        assert _tree(out) == before
 
     def test_failed_rerun_keeps_earlier_output(self, tmp_path, monkeypatch):
         runs = [self.fabricate_run(tmp_path, "s1", "nv1x16", 0, 0.8)]
