@@ -133,7 +133,12 @@ class TestTrainConfig:
         {"batch_size": 1},
         {"learning_rate": 0.0},
         {"learning_rate": -1e-3},
+        {"epochs": -3},
+        {"batch_size": 0},
+        {"learning_rate": float("nan")},
+        {"topology": ""},
         {"topology": "nv16"},
+        {"seed": 2 ** 64},
         {"seed": -1},
     ])
     def test_invalid_values(self, kw):
