@@ -26,6 +26,7 @@ import math
 import os
 import struct
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -88,34 +89,36 @@ def save_clip(clip: Clip, path) -> None:
 def load_clip(path) -> Clip:
     """Read one clip file; no channels or no samples, a NaN or infinite
     sample, or a sample rate that is not positive and finite, is a format
-    error."""
+    error. The payload is read straight into the sample array."""
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            header = fh.read(_HEADER.size)
+            if len(header) < _HEADER.size:
+                raise ClipFormatError(f"{path}: file shorter than the clip header")
+            magic, version, n_channels, n_samples, rate, label_code, _ = \
+                _HEADER.unpack(header)
+            if magic != CLIP_MAGIC:
+                raise BadMagicError(f"{path}: bad magic {magic!r}")
+            if version != CLIP_VERSION:
+                raise UnsupportedVersionError(f"{path}: unsupported clip version {version}")
+            if label_code not in CODE_LABELS:
+                raise ClipFormatError(f"{path}: unknown label code {label_code}")
+            if not (math.isfinite(rate) and rate > 0):
+                raise ClipFormatError(f"{path}: sample rate {rate} Hz is not positive and finite")
+            if n_channels == 0 or n_samples == 0:
+                raise ClipFormatError(f"{path}: header claims an empty clip "
+                                      f"({n_channels}x{n_samples} samples)")
+            expected = n_channels * n_samples * 4
+            payload_bytes = os.fstat(fh.fileno()).st_size - _HEADER.size
+            if payload_bytes == expected:
+                samples = np.empty((n_channels, n_samples), "<f4")
+                payload_bytes = fh.readinto(samples)
+            if payload_bytes != expected:
+                raise PayloadLengthError(
+                    f"{path}: header claims {n_channels}x{n_samples} samples "
+                    f"({expected} bytes) but payload holds {payload_bytes}")
     except OSError as exc:
         raise DataError(f"cannot read clip file {path}: {exc}") from exc
-    if len(raw) < _HEADER.size:
-        raise ClipFormatError(f"{path}: file shorter than the clip header")
-    magic, version, n_channels, n_samples, rate, label_code, _ = \
-        _HEADER.unpack_from(raw)
-    if magic != CLIP_MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}")
-    if version != CLIP_VERSION:
-        raise UnsupportedVersionError(f"{path}: unsupported clip version {version}")
-    if label_code not in CODE_LABELS:
-        raise ClipFormatError(f"{path}: unknown label code {label_code}")
-    if not (math.isfinite(rate) and rate > 0):
-        raise ClipFormatError(f"{path}: sample rate {rate} Hz is not positive and finite")
-    if n_channels == 0 or n_samples == 0:
-        raise ClipFormatError(f"{path}: header claims an empty clip "
-                              f"({n_channels}x{n_samples} samples)")
-    expected = n_channels * n_samples * 4
-    payload_bytes = len(raw) - _HEADER.size
-    if payload_bytes != expected:
-        raise PayloadLengthError(
-            f"{path}: header claims {n_channels}x{n_samples} samples "
-            f"({expected} bytes) but payload holds {payload_bytes}")
-    samples = np.frombuffer(raw, "<f4", offset=_HEADER.size).reshape(n_channels, n_samples).copy()
     if not np.isfinite(samples).all():
         raise ClipFormatError(f"{path}: payload holds a NaN or infinite sample")
     return Clip(samples, rate, CODE_LABELS[label_code])
@@ -128,6 +131,23 @@ ANTIALIAS_TAPS /= ANTIALIAS_TAPS.sum()
 ANTIALIAS_TAPS.flags.writeable = False
 
 
+DECIMATE_MAX_THREADS = 4
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _mirror(index: np.ndarray, n: int) -> np.ndarray:
+    """The sample of an n-sample row that each index of its symmetric
+    (edge-repeating) extension reads, as np.pad's "symmetric" mode does."""
+    folded = index % (2 * n)
+    return np.where(folded < n, folded, 2 * n - 1 - folded)
+
+
 def decimate(clip: Clip) -> Clip:
     """Halve the sample rate from 400 Hz to 200 Hz.
 
@@ -137,6 +157,13 @@ def decimate(clip: Clip) -> Clip:
     at a time in polyphase form: output k is sum_j taps[j] * padded[2k + j],
     the even taps over the even samples plus the odd taps over the odd
     ones, each correlation an FFT product in 64-bit.
+
+    Channels are shared out over one thread per usable core, the calling
+    thread among them, at most ``DECIMATE_MAX_THREADS`` (np.fft releases
+    the GIL). Every channel takes the same steps on any thread count, so
+    the output bytes do not depend on it. Each thread's scratch is
+    allocated here, in the calling thread, so the workers allocate
+    nothing large.
     """
     if clip.sample_rate_hz != INGEST_RATE_HZ:
         raise DataError(f"decimate expects a {INGEST_RATE_HZ:g} Hz clip, "
@@ -144,17 +171,47 @@ def decimate(clip: Clip) -> Clip:
     if clip.n_samples % 2 != 0:
         raise DataError(f"decimate needs an even sample count, got {clip.n_samples}")
     half = (len(ANTIALIAS_TAPS) - 1) // 2
-    n_out = clip.n_samples // 2
+    n_channels, n_samples = clip.samples.shape
+    n_out = n_samples // 2
     # each phase holds n_out + half samples; an FFT at least that long
     # computes every kept output without circular wrap-around
     nfft = 1 << (n_out + half - 1).bit_length()
+    # these also put the length-nfft plan in pocketfft's plan cache, which
+    # numpy builds without a lock, before any worker runs: the workers only
+    # look the plan up
     even = np.conj(np.fft.rfft(ANTIALIAS_TAPS[0::2], nfft))
     odd = np.conj(np.fft.rfft(ANTIALIAS_TAPS[1::2], nfft))
-    out = np.empty((clip.n_channels, n_out), dtype=FLOAT32)
-    for c, row in enumerate(clip.samples):
-        padded = np.pad(row.astype(np.float64), half, mode="symmetric")
-        spectrum = np.fft.rfft(padded[0::2], nfft) * even + np.fft.rfft(padded[1::2], nfft) * odd
-        out[c] = np.fft.irfft(spectrum, nfft)[:n_out]
+    left = _mirror(np.arange(-half, 0), n_samples)
+    right = _mirror(np.arange(n_samples, n_samples + half), n_samples)
+    out = np.empty((n_channels, n_out), dtype=FLOAT32)
+    n_threads = min(_usable_cores(), n_channels, DECIMATE_MAX_THREADS)
+    # per thread: the padded row, which also takes the inverse FFT once
+    # both phases are transformed (nfft < n_samples + 2 * half), and the
+    # two phase spectra
+    scratch = [(np.empty(n_samples + 2 * half), np.empty(nfft // 2 + 1, np.complex128),
+                np.empty(nfft // 2 + 1, np.complex128)) for _ in range(n_threads)]
+
+    def work(t: int) -> None:
+        padded, spectrum, odd_spectrum = scratch[t]
+        for c in range(t, n_channels, n_threads):
+            row = clip.samples[c]
+            padded[half:half + n_samples] = row
+            padded[:half] = row[left]
+            padded[half + n_samples:] = row[right]
+            np.fft.rfft(padded[0::2], nfft, out=spectrum)
+            np.fft.rfft(padded[1::2], nfft, out=odd_spectrum)
+            np.multiply(spectrum, even, out=spectrum)
+            np.multiply(odd_spectrum, odd, out=odd_spectrum)
+            np.add(spectrum, odd_spectrum, out=spectrum)
+            series = np.fft.irfft(spectrum, nfft, out=padded[:nfft])
+            out[c] = series[:n_out]
+
+    # the calling thread takes the first share; the pool starts a thread
+    # only for each share submitted to it, so on one core it starts none
+    with ThreadPoolExecutor(n_threads) as pool:
+        rest = pool.map(work, range(1, n_threads))
+        work(0)
+        list(rest)
     return Clip(out, TARGET_RATE_HZ, clip.label)
 
 

@@ -22,7 +22,7 @@ from .data import LABEL_CODES, Clip, Manifest, SegmentBatch, preprocess_clip
 from .errors import DataError, SingleClassError
 from .layers import INFER, Network
 from .tensor import load_json, save_json
-from .topologies import ElectrodeLayout, reshape_batch
+from .topologies import TOPOLOGIES, ElectrodeLayout, reshape_batch
 
 QUARTILE_METHOD = "linear"
 
@@ -112,13 +112,17 @@ class EvaluationReport:
 
     @classmethod
     def from_mapping(cls, obj: dict) -> "EvaluationReport":
-        auc = obj["auc"]
+        subject, topology, auc = obj["subject"], obj["topology"], obj["auc"]
+        if not isinstance(subject, str):
+            raise TypeError(f"subject must be a string, got {subject!r}")
+        if topology not in TOPOLOGIES:
+            raise TypeError(f"topology must be one of {TOPOLOGIES}, got {topology!r}")
         if isinstance(auc, bool) or not isinstance(auc, (int, float)) or not 0 <= auc <= 1:
             raise TypeError(f"auc must be a number in [0, 1], got {auc!r}")
         preds = [ClipPrediction(c["clip_id"], c["label"], c["segment_probabilities"],
                                 c["clip_probability"]) for c in obj["clips"]]
         roc = obj.get("roc", {})
-        return cls(obj["subject"], obj["topology"], obj.get("seed"), preds,
+        return cls(subject, topology, obj.get("seed"), preds,
                    auc, obj["n_preictal"], obj["n_interictal"],
                    roc.get("fpr", []), roc.get("tpr", []),
                    [float(t) for t in roc.get("thresholds", [])])

@@ -746,6 +746,23 @@ class TestReport:
         assert len(err) == 1 and err[0].startswith("error:") and "auc" in err[0]
         assert _tree(out) == before
 
+    @pytest.mark.parametrize("field,value", [("subject", ["x"]), ("subject", 7),
+                                             ("topology", "nv9"), ("topology", ["nv1x16"])])
+    def test_bad_subject_or_topology(self, field, value, tmp_path, capsys):
+        good = self.fabricate_run(tmp_path, "s1", "nv1x16", 0, 0.8)
+        out = tmp_path / "summary"
+        assert cli.main(["report", str(good), "--out", str(out)]) == 0
+        before = _tree(out)
+        bad = self.fabricate_run(tmp_path, "s1", "nv1x16", 1, 0.7)
+        doc = json.loads((bad / "report.json").read_text())
+        doc[field] = value
+        (bad / "report.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["report", str(good), str(bad), "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
+        assert _tree(out) == before
+
     def test_failed_rerun_keeps_earlier_output(self, tmp_path, monkeypatch):
         runs = [self.fabricate_run(tmp_path, "s1", "nv1x16", 0, 0.8)]
         out = tmp_path / "summary"

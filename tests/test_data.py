@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -25,6 +27,26 @@ from seizurecnn.tensor import seeded_rng
 def noise_clip(n_samples=6000, rate=400.0, label="interictal", seed=0, channels=16):
     samples = seeded_rng(seed).split("clip").normal(size=(channels, n_samples))
     return Clip(samples.astype(np.float32), rate, label)
+
+
+def pretend_cores(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def one_channel_loop(clip):
+    """The single-threaded decimation loop that ``decimate`` must equal
+    bit for bit: pad, two FFTs, multiply-add, inverse FFT, per channel."""
+    half = (len(ANTIALIAS_TAPS) - 1) // 2
+    n_out = clip.n_samples // 2
+    nfft = 1 << (n_out + half - 1).bit_length()
+    even = np.conj(np.fft.rfft(ANTIALIAS_TAPS[0::2], nfft))
+    odd = np.conj(np.fft.rfft(ANTIALIAS_TAPS[1::2], nfft))
+    out = np.empty((clip.n_channels, n_out), dtype=np.float32)
+    for c, row in enumerate(clip.samples):
+        padded = np.pad(row.astype(np.float64), half, mode="symmetric")
+        spectrum = np.fft.rfft(padded[0::2], nfft) * even + np.fft.rfft(padded[1::2], nfft) * odd
+        out[c] = np.fft.irfft(spectrum, nfft)[:n_out]
+    return out
 
 
 class TestClipIO:
@@ -89,6 +111,20 @@ class TestClipIO:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_clip(tmp_path / "absent.clip")
+
+    def test_payload_shrinks_while_read(self, tmp_path, monkeypatch):
+        path = tmp_path / "a.clip"
+        save_clip(noise_clip(), path)
+        real_fstat = os.fstat
+
+        def fstat_then_truncate(fd):
+            stat = real_fstat(fd)
+            os.truncate(path, stat.st_size - 8)
+            return stat
+
+        monkeypatch.setattr(os, "fstat", fstat_then_truncate)
+        with pytest.raises(PayloadLengthError, match="payload holds 383992"):
+            load_clip(path)
 
     @pytest.mark.parametrize("channels,samples", [(16, 0), (0, 6000), (0, 0)])
     def test_empty_clip(self, tmp_path, channels, samples):
@@ -165,6 +201,57 @@ class TestDecimate:
         out = decimate(clip).samples
         assert out.dtype == np.float32
         assert np.max(np.abs(out - ref)) < 5e-7 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("channels,n_samples", [(16, 240000), (16, 24000), (3, 6002),
+                                                    (1, 6000)])
+    def test_matches_one_channel_loop(self, channels, n_samples, monkeypatch):
+        clip = noise_clip(n_samples, channels=channels)
+        ref = one_channel_loop(clip).tobytes()
+        for cores in (1, 2, 3, 64):
+            pretend_cores(monkeypatch, cores)
+            assert decimate(clip).samples.tobytes() == ref, cores
+
+    def test_one_core_writes_same_bytes(self, tmp_path, monkeypatch):
+        save_clip(noise_clip(240000), tmp_path / "raw.clip")
+        code = ("import os, sys; from seizurecnn.data import decimate, load_clip, save_clip; "
+                "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+                "assert len(os.sched_getaffinity(0)) == 1; "
+                "save_clip(decimate(load_clip(sys.argv[1])), sys.argv[2])")
+        subprocess.run([sys.executable, "-c", code, str(tmp_path / "raw.clip"),
+                        str(tmp_path / "one_core.clip")], check=True)
+        pretend_cores(monkeypatch, 4)
+        save_clip(decimate(load_clip(tmp_path / "raw.clip")), tmp_path / "four_cores.clip")
+        assert (tmp_path / "one_core.clip").read_bytes() == \
+            (tmp_path / "four_cores.clip").read_bytes()
+
+    def test_repeated_threaded_calls_agree(self, monkeypatch):
+        clip = noise_clip(6002, channels=16)
+        ref = one_channel_loop(clip).tobytes()
+        pretend_cores(monkeypatch, 64)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(30):
+                assert decimate(clip).samples.tobytes() == ref
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("cores", [1, 64])
+    def test_no_thread_outlives_the_call(self, cores, monkeypatch):
+        pretend_cores(monkeypatch, cores)
+        workers = set()
+        real_irfft = np.fft.irfft
+
+        def irfft(*args, **kwargs):
+            workers.add(threading.get_ident())
+            return real_irfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", irfft)
+        before = set(threading.enumerate())
+        decimate(noise_clip(6000))
+        assert set(threading.enumerate()) == before
+        assert threading.get_ident() in workers
+        assert len(workers) == 1 if cores == 1 else len(workers) > 1
 
 
 class TestZnormalize:
@@ -262,6 +349,19 @@ class TestPreprocessClip:
             preprocess_clip(noise_clip(rate=500.0))
 
     def test_peak_memory_below_twice_input(self):
+        clip = noise_clip(240000)
+        tracemalloc.start()
+        try:
+            preprocess_clip(clip)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * clip.samples.nbytes
+
+    def test_peak_memory_below_twice_input_on_many_cores(self, monkeypatch):
+        # every decimation thread has its own scratch, so the thread cap
+        # keeps this bound however many cores the machine has
+        pretend_cores(monkeypatch, 64)
         clip = noise_clip(240000)
         tracemalloc.start()
         try:
