@@ -41,8 +41,7 @@ from .data import (SPLITS, Manifest, cook, generate_synthetic, load_clip,
 # unused here; kept importable from cli because perfbench/tests/test_spans.py
 # checks that tracing wraps cli.preprocess_clip along with data's
 from .data import preprocess_clip  # noqa: F401
-from .errors import (ConfigError, DataError, LayoutError, SeizureCnnError,
-                     UnknownSubjectError)
+from .errors import ConfigError, DataError, LayoutError, SeizureCnnError
 from .evaluation import (EvaluationReport, aggregate_runs, evaluate_subject,
                          score_clip)
 from .tensor import (RNG_ALGORITHM_ID, load_arrays, load_json, save_arrays,
@@ -109,8 +108,7 @@ def _load_config(args) -> TrainConfig:
 
 def _require_subject(manifest: Manifest, subject: str) -> None:
     if subject not in manifest.subjects():
-        raise UnknownSubjectError(
-            f"unknown subject {subject!r}; manifest has {manifest.subjects()}")
+        raise DataError(f"unknown subject {subject!r}; manifest has {manifest.subjects()}")
 
 
 def _parse_seeds(args, seed: int) -> list[int]:
@@ -237,8 +235,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    manifest = generate_synthetic(args.out, n_subjects=args.subjects,
-                                  train_clips=args.clips, test_clips=args.test_clips,
+    manifest = generate_synthetic(args.out, train_clips=args.clips, test_clips=args.test_clips,
                                   minutes=args.minutes, seed=args.seed)
     print(Path(args.out) / "manifest.json")
     print(f"{len(manifest.clips)} clips for {len(manifest.subjects())} subject(s)")
@@ -293,7 +290,10 @@ def cmd_preprocess(args) -> int:
 def cmd_report(args) -> int:
     reports: dict[tuple[str, str], list[EvaluationReport]] = {}
     skipped: list[str] = []
+    runs: dict[Path, str] = {}  # a run directory once, however it is spelled
     for run in args.runs:
+        runs.setdefault(Path(run).resolve(), run)
+    for run in runs.values():
         path = Path(run) / REPORT_FILE
         if not path.exists():
             skipped.append(str(run))
@@ -302,10 +302,14 @@ def cmd_report(args) -> int:
         reports.setdefault((report.subject, report.topology), []).append(report)
     if not reports:
         raise DataError("no evaluation reports found in the given run directories")
+    splits = sorted({r.split for group in reports.values() for r in group})
+    if len(splits) > 1:
+        raise DataError(f"reports were evaluated on different splits {splits}; "
+                        f"report pools one split at a time")
 
     groups = {key: aggregate_runs(group) for key, group in sorted(reports.items())}
     aggregates = {"groups": [g.to_mapping() for g in groups.values()],
-                  "skipped": sorted(skipped)}
+                  "skipped": sorted(skipped), "split": splits[0]}
 
     def write_table(path):
         """Mean-AUC grid, subjects down, topologies across."""
@@ -340,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--subjects", type=int, default=1)
     p.add_argument("--clips", type=int, default=80, help="train clips per class")
     p.add_argument("--test-clips", type=int, default=20, help="test clips per class")
     p.add_argument("--minutes", type=int, default=1)

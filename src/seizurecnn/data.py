@@ -32,8 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (BadMagicError, ClipFormatError, ConfigError, DataError,
-                     ManifestError, PayloadLengthError, UnsupportedVersionError)
+from .errors import ClipFormatError, ConfigError, DataError, ManifestError
 from .tensor import FLOAT32, RngStream, Tensor, load_json, save_json, seeded_rng
 from .topologies import N_CHANNELS, SEGMENT_SAMPLES, ElectrodeLayout
 
@@ -80,10 +79,9 @@ class Clip:
 def save_clip(clip: Clip, path) -> None:
     header = _HEADER.pack(CLIP_MAGIC, CLIP_VERSION, clip.n_channels, clip.n_samples,
                           clip.sample_rate_hz, LABEL_CODES[clip.label], 0)
-    payload = np.ascontiguousarray(clip.samples, dtype="<f4").tobytes()
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
+        fh.write(np.ascontiguousarray(clip.samples, dtype="<f4"))
 
 
 def load_clip(path) -> Clip:
@@ -98,9 +96,9 @@ def load_clip(path) -> Clip:
             magic, version, n_channels, n_samples, rate, label_code, _ = \
                 _HEADER.unpack(header)
             if magic != CLIP_MAGIC:
-                raise BadMagicError(f"{path}: bad magic {magic!r}")
+                raise ClipFormatError(f"{path}: bad magic {magic!r}")
             if version != CLIP_VERSION:
-                raise UnsupportedVersionError(f"{path}: unsupported clip version {version}")
+                raise ClipFormatError(f"{path}: unsupported clip version {version}")
             if label_code not in CODE_LABELS:
                 raise ClipFormatError(f"{path}: unknown label code {label_code}")
             if not (math.isfinite(rate) and rate > 0):
@@ -114,7 +112,7 @@ def load_clip(path) -> Clip:
                 samples = np.empty((n_channels, n_samples), "<f4")
                 payload_bytes = fh.readinto(samples)
             if payload_bytes != expected:
-                raise PayloadLengthError(
+                raise ClipFormatError(
                     f"{path}: header claims {n_channels}x{n_samples} samples "
                     f"({expected} bytes) but payload holds {payload_bytes}")
     except OSError as exc:
@@ -427,8 +425,7 @@ def split_train_validation(manifest: Manifest, fraction: float = 0.2,
     chosen: set[str] = set()
     for subject in manifest.subjects():
         for label in ("interictal", "preictal"):
-            stratum = [r for r in manifest.clips
-                       if r.split == "train" and r.subject == subject and r.label == label]
+            stratum = manifest.select(subject, "train", label)
             if not stratum:
                 continue
             target = math.floor(fraction * len(stratum))
@@ -476,8 +473,8 @@ BURST_AMPLITUDE = math.sqrt(2.0)  # unit burst power, so 0 dB against the noise
 MIN_BURST_CHANNELS = 8
 
 
-def bandpower_score(clip: Clip, band: tuple[float, float] = BURST_BAND_HZ) -> float:
-    """Mean periodogram power over channels inside the band.
+def bandpower_score(clip: Clip) -> float:
+    """Mean periodogram power over channels inside ``BURST_BAND_HZ``.
 
     This is the fixed oracle for synthetic data: no training involved,
     just the physics of the planted bursts.
@@ -485,9 +482,9 @@ def bandpower_score(clip: Clip, band: tuple[float, float] = BURST_BAND_HZ) -> fl
     x = clip.samples.astype(np.float64)
     freqs = np.fft.rfftfreq(x.shape[1], d=1.0 / clip.sample_rate_hz)
     power = np.abs(np.fft.rfft(x, axis=1)) ** 2
-    sel = (freqs >= band[0]) & (freqs <= band[1])
+    sel = (freqs >= BURST_BAND_HZ[0]) & (freqs <= BURST_BAND_HZ[1])
     if not sel.any():
-        raise DataError(f"clip too short to resolve the {band} Hz band")
+        raise DataError(f"clip too short to resolve the {BURST_BAND_HZ} Hz band")
     return float(power[:, sel].mean())
 
 
@@ -536,47 +533,41 @@ def _burst_signal(rng: RngStream, n_channels: int, n_samples: int,
     return out
 
 
-def generate_synthetic(out_dir, n_subjects: int = 1, train_clips: int = 80,
-                       test_clips: int = 20, minutes: int = 1,
-                       seed: int = 0) -> Manifest:
-    """Write a self-contained synthetic dataset and return its manifest.
+def generate_synthetic(out_dir, train_clips: int = 80, test_clips: int = 20,
+                       minutes: int = 1, seed: int = 0) -> Manifest:
+    """Write a synthetic dataset of one subject, synth01; return its manifest.
 
-    Per subject: ``train_clips`` clips per class in the train split and
-    ``test_clips`` per class in the test split, each ``minutes`` long at
-    400 Hz, plus a default electrode layout. Preictal train clips carry
-    group tags in runs of six so group-aware validation splits have
-    something to respect. Everything is a pure function of the seed.
+    ``train_clips`` clips per class in the train split and ``test_clips``
+    per class in the test split, each ``minutes`` long at 400 Hz, plus a
+    default electrode layout. Preictal train clips carry group tags in
+    runs of six so group-aware validation splits have something to
+    respect. Everything is a pure function of the seed.
     """
     if not (isinstance(minutes, int) and minutes >= 1):
         raise ConfigError(f"clip duration must be a whole number of minutes >= 1, got {minutes}")
-    if n_subjects < 1 or train_clips < 1 or test_clips < 0:
+    if train_clips < 1 or test_clips < 0:
         raise ConfigError("need at least one subject and one training clip per class")
     root = Path(out_dir)
     (root / "clips").mkdir(parents=True, exist_ok=True)
     (root / "layouts").mkdir(parents=True, exist_ok=True)
     n_samples = int(minutes * 60 * INGEST_RATE_HZ)
-    rng = seeded_rng(seed).split("synthetic")
-
+    subject = "synth01"
+    layout_rel = f"layouts/{subject}.json"
+    ElectrodeLayout.default().save(root / layout_rel)
+    srng = seeded_rng(seed).split("synthetic").split(subject)
     records: list[ClipRecord] = []
-    layouts: dict[str, str] = {}
-    for si in range(n_subjects):
-        subject = f"synth{si + 1:02d}"
-        layout_rel = f"layouts/{subject}.json"
-        ElectrodeLayout.default().save(root / layout_rel)
-        layouts[subject] = layout_rel
-        srng = rng.split(subject)
-        for split, per_class in (("train", train_clips), ("test", test_clips)):
-            for label in ("interictal", "preictal"):
-                for i in range(per_class):
-                    crng = srng.split(f"{split}/{label}/{i}")
-                    x = _colored_noise(crng.split("noise"), N_CHANNELS, n_samples)
-                    if label == "preictal":
-                        x = x + _burst_signal(crng.split("bursts"), N_CHANNELS,
-                                              n_samples, INGEST_RATE_HZ)
-                    rel = f"clips/{subject}_{split}_{label}_{i:04d}.clip"
-                    save_clip(Clip(x, INGEST_RATE_HZ, label), root / rel)
-                    group = f"{subject}-{split}-seq{i // 6:03d}" if label == "preictal" else None
-                    records.append(ClipRecord(rel, subject, label, split, group))
-    manifest = Manifest(records, layouts, base=root)
+    for split, per_class in (("train", train_clips), ("test", test_clips)):
+        for label in ("interictal", "preictal"):
+            for i in range(per_class):
+                crng = srng.split(f"{split}/{label}/{i}")
+                x = _colored_noise(crng.split("noise"), N_CHANNELS, n_samples)
+                if label == "preictal":
+                    x = x + _burst_signal(crng.split("bursts"), N_CHANNELS,
+                                          n_samples, INGEST_RATE_HZ)
+                rel = f"clips/{subject}_{split}_{label}_{i:04d}.clip"
+                save_clip(Clip(x, INGEST_RATE_HZ, label), root / rel)
+                group = f"{subject}-{split}-seq{i // 6:03d}" if label == "preictal" else None
+                records.append(ClipRecord(rel, subject, label, split, group))
+    manifest = Manifest(records, {subject: layout_rel}, base=root)
     manifest.save(root / "manifest.json")
     return manifest

@@ -1,7 +1,7 @@
-"""Exception hierarchy shared across the toolkit.
-
-Command-line entry points map these onto exit codes: configuration
-problems exit 2, data problems exit 3.
+"""The toolkit's seven exception types. The command line exits 2 on a
+ConfigError; 3 on a DataError or one of its subclasses, one per kind of
+input file: ClipFormatError, ManifestError, LayoutError; and 1 on the base
+SeizureCnnError or a TrainingDivergedError. Each message names its case.
 """
 
 
@@ -21,36 +21,12 @@ class ClipFormatError(DataError):
     """Clip file violates the binary format contract."""
 
 
-class BadMagicError(ClipFormatError):
-    """File does not start with the clip magic bytes."""
-
-
-class UnsupportedVersionError(ClipFormatError):
-    """Clip format version not handled by this build."""
-
-
-class PayloadLengthError(ClipFormatError):
-    """Sample payload length inconsistent with the header."""
-
-
 class ManifestError(DataError):
     """Malformed or self-inconsistent data manifest."""
 
 
 class LayoutError(DataError):
     """Electrode layout missing, invalid, or unsuitable for a topology."""
-
-
-class UnknownSubjectError(DataError):
-    """Requested subject does not appear in the manifest."""
-
-
-class DegenerateTrainingSetError(DataError):
-    """Training set lacks one of the two classes."""
-
-
-class SingleClassError(DataError):
-    """Score set contains only one label; ROC/AUC is undefined."""
 
 
 class TrainingDivergedError(SeizureCnnError):

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import LABEL_CODES, Clip, Manifest, SegmentBatch, preprocess_clip
-from .errors import DataError, SingleClassError
+from .data import LABEL_CODES, SPLITS, Clip, Manifest, SegmentBatch, preprocess_clip
+from .errors import DataError
 from .layers import INFER, Network
 from .tensor import load_json, save_json
 from .topologies import TOPOLOGIES, ElectrodeLayout, reshape_batch
@@ -48,8 +48,7 @@ def roc_curve(scores, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
-        raise SingleClassError(
-            f"ROC needs both classes, got {n_pos} positive and {n_neg} negative")
+        raise DataError(f"ROC needs both classes, got {n_pos} positive and {n_neg} negative")
     order = np.argsort(-scores, kind="stable")
     s = scores[order]
     y = labels[order]
@@ -90,12 +89,14 @@ class EvaluationReport:
     roc_fpr: list[float] = field(default_factory=list)
     roc_tpr: list[float] = field(default_factory=list)
     roc_thresholds: list[float] = field(default_factory=list)
+    split: str = "test"
 
     def to_mapping(self) -> dict:
         return {
             "subject": self.subject,
             "topology": self.topology,
             "seed": self.seed,
+            "split": self.split,
             "auc": self.auc,
             "n_preictal": self.n_preictal,
             "n_interictal": self.n_interictal,
@@ -113,19 +114,22 @@ class EvaluationReport:
     @classmethod
     def from_mapping(cls, obj: dict) -> "EvaluationReport":
         subject, topology, auc = obj["subject"], obj["topology"], obj["auc"]
+        split = obj.get("split", "test")  # reports written before splits were recorded
         if not isinstance(subject, str):
             raise TypeError(f"subject must be a string, got {subject!r}")
         if topology not in TOPOLOGIES:
             raise TypeError(f"topology must be one of {TOPOLOGIES}, got {topology!r}")
         if isinstance(auc, bool) or not isinstance(auc, (int, float)) or not 0 <= auc <= 1:
             raise TypeError(f"auc must be a number in [0, 1], got {auc!r}")
+        if split not in SPLITS:
+            raise TypeError(f"split must be one of {SPLITS}, got {split!r}")
         preds = [ClipPrediction(c["clip_id"], c["label"], c["segment_probabilities"],
                                 c["clip_probability"]) for c in obj["clips"]]
         roc = obj.get("roc", {})
         return cls(subject, topology, obj.get("seed"), preds,
                    auc, obj["n_preictal"], obj["n_interictal"],
                    roc.get("fpr", []), roc.get("tpr", []),
-                   [float(t) for t in roc.get("thresholds", [])])
+                   [float(t) for t in roc.get("thresholds", [])], split)
 
     @classmethod
     def load(cls, path) -> "EvaluationReport":
@@ -177,8 +181,6 @@ def evaluate_subject(network: Network, topology: str, manifest: Manifest,
     clip in the split is rejected before any clip is scored.
     """
     records = manifest.labeled_split(subject, split)
-    if layout is None:
-        layout = manifest.layout_for(subject)
     predictions = []
     for rec in records:
         probs, clip_prob = score_clip(network, topology, manifest.load_record(rec), layout)
@@ -193,7 +195,7 @@ def evaluate_subject(network: Network, topology: str, manifest: Manifest,
         n_preictal=sum(1 for y in labels if y == 1),
         n_interictal=sum(1 for y in labels if y == 0),
         roc_fpr=[float(v) for v in fpr], roc_tpr=[float(v) for v in tpr],
-        roc_thresholds=[float(v) for v in thr])
+        roc_thresholds=[float(v) for v in thr], split=split)
 
 
 @dataclass

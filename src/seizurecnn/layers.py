@@ -340,8 +340,8 @@ class Dropout(Layer):
         self.rate = float(rate)
 
     def forward(self, x: Tensor, mode: str = TRAIN, rng: RngStream | None = None) -> Tensor:
-        if mode != TRAIN or self.rate == 0.0:
-            return self._keep(mode, x, None)
+        if mode != TRAIN:
+            return self._keep(mode, x)
         if rng is None:
             raise ValueError(f"{self.name}: train mode needs an RNG stream")
         mask = rng.uniform(size=x.shape) >= self.rate
@@ -350,8 +350,6 @@ class Dropout(Layer):
 
     def backward(self, upstream: Tensor) -> Tensor:
         mask, = self._kept(upstream)
-        if mask is None:
-            return upstream
         scale = upstream.dtype.type(1.0 / (1.0 - self.rate))
         return np.where(mask, upstream, upstream.dtype.type(0)) * scale
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateTrainingSetError, TrainingDivergedError
+from .errors import ConfigError, DataError, TrainingDivergedError
 from .layers import TRAIN, Network
 from .tensor import RngStream, Tensor
 from .topologies import input_grid, reshape_batch
@@ -93,8 +93,8 @@ class TrainConfig:
 def class_weights(n_preictal: int, n_interictal: int) -> tuple[float, float]:
     """(w_pos, w_neg) with w_c = N / (2 n_c), so both classes carry equal mass."""
     if n_preictal < 1 or n_interictal < 1:
-        raise DegenerateTrainingSetError(f"training set needs both classes, got "
-                                         f"{n_preictal} preictal and {n_interictal} interictal")
+        raise DataError(f"training set needs both classes, got "
+                        f"{n_preictal} preictal and {n_interictal} interictal")
     total = n_preictal + n_interictal
     return total / (2.0 * n_preictal), total / (2.0 * n_interictal)
 

@@ -335,6 +335,11 @@ class TestEvaluate:
                          "--split", "train"]) == 0
         assert "train AUC=" in capsys.readouterr().out
 
+    def test_report_records_split(self, run_dir):
+        for split in ("train", "test"):
+            assert cli.main(["evaluate", "--run", str(run_dir), "--split", split]) == 0
+            assert json.loads((run_dir / "report.json").read_text())["split"] == split
+
     def test_layout_change_detected(self, run_dir, dataset_dir):
         layout_path = dataset_dir / "layouts" / "synth01.json"
         original = layout_path.read_bytes()
@@ -687,11 +692,11 @@ class TestEmptyClip:
 
 
 class TestReport:
-    def fabricate_run(self, root, subject, topology, seed, auc):
+    def fabricate_run(self, root, subject, topology, seed, auc, split="test"):
         run = root / f"{subject}_{topology}_s{seed:04d}"
         run.mkdir(parents=True)
         report = EvaluationReport(subject, topology, seed, [], auc,
-                                  n_preictal=1, n_interictal=1)
+                                  n_preictal=1, n_interictal=1, split=split)
         report.save(run / "report.json")
         return run
 
@@ -747,7 +752,8 @@ class TestReport:
         assert _tree(out) == before
 
     @pytest.mark.parametrize("field,value", [("subject", ["x"]), ("subject", 7),
-                                             ("topology", "nv9"), ("topology", ["nv1x16"])])
+                                             ("topology", "nv9"), ("topology", ["nv1x16"]),
+                                             ("split", "holdout")])
     def test_bad_subject_or_topology(self, field, value, tmp_path, capsys):
         good = self.fabricate_run(tmp_path, "s1", "nv1x16", 0, 0.8)
         out = tmp_path / "summary"
@@ -762,6 +768,43 @@ class TestReport:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
         assert _tree(out) == before
+
+    def test_run_counted_once_however_spelled(self, tmp_path, capsys):
+        run = self.fabricate_run(tmp_path, "s1", "nv1x16", 0, 0.8)
+        spellings = [str(run), f"{run.parent}/./{run.name}", str(run)]
+        out = tmp_path / "summary"
+        assert cli.main(["report", *spellings, "--out", str(out)]) == 0
+        assert "s1 nv1x16: n=1 " in capsys.readouterr().out
+        assert json.loads((out / "aggregates.json").read_text())["groups"][0]["aucs"] == [0.8]
+
+    def test_mixed_splits_rejected(self, tmp_path, capsys):
+        test_run = self.fabricate_run(tmp_path, "s1", "nv1x16", 0, 1.0)
+        out = tmp_path / "summary"
+        assert cli.main(["report", str(test_run), "--out", str(out)]) == 0
+        before = _tree(out)
+        val_run = self.fabricate_run(tmp_path, "s1", "nv1x16", 1, 0.8, split="validation")
+        capsys.readouterr()
+        assert cli.main(["report", str(test_run), str(val_run), "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "splits" in err[0]
+        assert _tree(out) == before
+
+    def test_aggregates_record_split(self, tmp_path):
+        run = self.fabricate_run(tmp_path, "s1", "nv1x16", 0, 0.8, split="validation")
+        out = tmp_path / "summary"
+        assert cli.main(["report", str(run), "--out", str(out)]) == 0
+        assert json.loads((out / "aggregates.json").read_text())["split"] == "validation"
+
+    def test_report_without_split_reads_as_test(self, tmp_path):
+        old = self.fabricate_run(tmp_path, "s1", "nv1x16", 0, 0.8)
+        doc = json.loads((old / "report.json").read_text())
+        del doc["split"]
+        (old / "report.json").write_text(json.dumps(doc))
+        new = self.fabricate_run(tmp_path, "s1", "nv1x16", 1, 0.9)
+        out = tmp_path / "summary"
+        assert cli.main(["report", str(old), str(new), "--out", str(out)]) == 0
+        agg = json.loads((out / "aggregates.json").read_text())
+        assert agg["split"] == "test" and agg["groups"][0]["aucs"] == [0.8, 0.9]
 
     def test_failed_rerun_keeps_earlier_output(self, tmp_path, monkeypatch):
         runs = [self.fabricate_run(tmp_path, "s1", "nv1x16", 0, 0.8)]

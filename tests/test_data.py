@@ -18,9 +18,7 @@ from seizurecnn.data import (ANTIALIAS_TAPS, CLIP_MAGIC, CLIP_VERSION, STD_FLOOR
                              decimate, generate_synthetic, load_clip, load_split_segments,
                              preprocess_clip, save_clip, segment, split_train_validation,
                              znormalize, _HEADER, _burst_envelope, _colored_noise)
-from seizurecnn.errors import (BadMagicError, ClipFormatError, ConfigError,
-                               DataError, ManifestError, PayloadLengthError,
-                               UnsupportedVersionError)
+from seizurecnn.errors import ClipFormatError, ConfigError, DataError, ManifestError
 from seizurecnn.tensor import seeded_rng
 
 
@@ -72,7 +70,7 @@ class TestClipIO:
         raw = bytearray(path.read_bytes())
         raw[:4] = b"PLCI"
         path.write_bytes(bytes(raw))
-        with pytest.raises(BadMagicError):
+        with pytest.raises(ClipFormatError, match="bad magic b'PLCI'"):
             load_clip(path)
 
     def test_unsupported_version(self, tmp_path):
@@ -81,7 +79,7 @@ class TestClipIO:
         raw = bytearray(path.read_bytes())
         raw[4] = 99
         path.write_bytes(bytes(raw))
-        with pytest.raises(UnsupportedVersionError):
+        with pytest.raises(ClipFormatError, match="unsupported clip version 99"):
             load_clip(path)
 
     def test_unknown_label_code(self, tmp_path):
@@ -98,14 +96,14 @@ class TestClipIO:
         save_clip(noise_clip(), path)
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
-        with pytest.raises(PayloadLengthError):
+        with pytest.raises(ClipFormatError, match="payload holds 383992"):
             load_clip(path)
 
     def test_oversized_payload(self, tmp_path):
         path = tmp_path / "a.clip"
         save_clip(noise_clip(), path)
         path.write_bytes(path.read_bytes() + b"\x00" * 4)
-        with pytest.raises(PayloadLengthError):
+        with pytest.raises(ClipFormatError, match="payload holds 384004"):
             load_clip(path)
 
     def test_missing_file(self, tmp_path):
@@ -123,7 +121,7 @@ class TestClipIO:
             return stat
 
         monkeypatch.setattr(os, "fstat", fstat_then_truncate)
-        with pytest.raises(PayloadLengthError, match="payload holds 383992"):
+        with pytest.raises(ClipFormatError, match="payload holds 383992"):
             load_clip(path)
 
     @pytest.mark.parametrize("channels,samples", [(16, 0), (0, 6000), (0, 0)])

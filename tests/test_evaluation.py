@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from seizurecnn.data import generate_synthetic
-from seizurecnn.errors import DataError, SingleClassError
+from seizurecnn.errors import DataError
 from seizurecnn.evaluation import (ClipPrediction, EvaluationReport,
                                    RunAggregate, aggregate_clip,
                                    aggregate_runs, evaluate_subject,
@@ -96,7 +96,7 @@ class TestRocCurve:
         assert len(thresholds) == 3  # inf plus two distinct scores
 
     def test_single_class_rejected(self):
-        with pytest.raises(SingleClassError):
+        with pytest.raises(DataError, match="ROC needs both classes"):
             roc_curve([0.1, 0.9], [1, 1])
 
     def test_shape_mismatch(self):

@@ -283,6 +283,10 @@ class TestDropout:
         with pytest.raises(ValueError):
             Dropout(0.5).forward(np.ones((2, 2)), TRAIN, None)
 
+    def test_rate_zero_train_needs_rng(self):
+        with pytest.raises(ValueError, match="train mode needs an RNG stream"):
+            Dropout(0.0).forward(np.ones((2, 2)), TRAIN, None)
+
     def test_backward_reuses_mask(self):
         drop = Dropout(0.5)
         x = np.ones((6, 6))

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from seizurecnn.errors import (ConfigError, DegenerateTrainingSetError,
-                               TrainingDivergedError)
+from seizurecnn.errors import ConfigError, DataError, TrainingDivergedError
 from seizurecnn.layers import (BatchNorm, Conv, Dense, Dropout, Flatten,
                                MaxPool, Network, ReLU, Sigmoid)
 from seizurecnn.tensor import seeded_rng
@@ -31,9 +30,9 @@ class TestClassWeights:
         assert 7 * w_pos + 13 * w_neg == pytest.approx(20.0, rel=1e-12)
 
     def test_missing_class_rejected(self):
-        with pytest.raises(DegenerateTrainingSetError):
+        with pytest.raises(DataError, match="needs both classes, got 0 preictal"):
             class_weights(0, 100)
-        with pytest.raises(DegenerateTrainingSetError):
+        with pytest.raises(DataError, match="needs both classes, got 100 preictal"):
             class_weights(100, 0)
 
 
@@ -269,7 +268,7 @@ class TestFit:
     def test_single_class_rejected(self):
         batch = separable_batch()
         batch.labels[:] = 1
-        with pytest.raises(DegenerateTrainingSetError):
+        with pytest.raises(DataError, match="training set needs both classes"):
             fit(toy_network(), batch, self.cfg(), seeded_rng(0).split("fit"))
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
