@@ -545,8 +545,10 @@ def generate_synthetic(out_dir, train_clips: int = 80, test_clips: int = 20,
     """
     if not (isinstance(minutes, int) and minutes >= 1):
         raise ConfigError(f"clip duration must be a whole number of minutes >= 1, got {minutes}")
-    if train_clips < 1 or test_clips < 0:
-        raise ConfigError("need at least one subject and one training clip per class")
+    if train_clips < 1:
+        raise ConfigError(f"need at least one training clip per class, got {train_clips}")
+    if test_clips < 0:
+        raise ConfigError(f"test clips per class cannot be negative, got {test_clips}")
     root = Path(out_dir)
     (root / "clips").mkdir(parents=True, exist_ok=True)
     (root / "layouts").mkdir(parents=True, exist_ok=True)

@@ -22,6 +22,17 @@ gradient, and what the layer's backward reads:
 ``backward`` lets go of the cache once it has read it, and an INFER-mode
 forward caches nothing and drops what an earlier TRAIN forward left, so a
 second ``backward``, or one after an INFER forward, raises RuntimeError.
+Backward may consume its cache in place: BatchNorm forms the input
+gradient in ``xhat``, and Conv writes the gradient of its columns into
+the column buffer once the kernel gradient has read it.
+
+In TRAIN mode ``Network.forward`` runs each ``Conv -> BatchNorm -> MaxPool
+-> ReLU`` run of its layer list through ``_train_block``, which works over
+the conv output in place, one segment at a time, so BatchNorm's output is
+never written at full resolution.  Output, caches and running statistics
+are those of the three ``forward`` methods, bit for bit, but BatchNorm's
+``xhat`` then lives in the conv output's buffer.  INFER runs every layer's
+own ``forward``.
 
 A layer names its persistent arrays once, in ``param_keys`` (learned,
 with the gradient of ``key`` in ``g_<key>``) and ``buffer_keys`` (kept
@@ -199,8 +210,10 @@ class Conv(Layer):
         cols = self._columns(padded, spatial)
         self.g_kernel = np.matmul(up, cols.transpose(0, 2, 1)).sum(axis=0).reshape(
             self.kernel.shape)
-        del cols
-        d_cols = np.matmul(self.kernel.reshape(self.maps_out, -1).T, up).reshape(
+        # the columns are read; d_cols takes their buffer when it has their dtype
+        same = cols.dtype == np.result_type(self.kernel, up)
+        d_cols = np.matmul(self.kernel.reshape(self.maps_out, -1).T, up,
+                           out=cols if same else None).reshape(
             (up.shape[0], self.maps_in, self._taps) + spatial)
         d_padded = np.zeros_like(padded)
         for t, window in enumerate(self._windows(spatial)):
@@ -224,32 +237,43 @@ class MaxPool(Layer):
         if any(w < 1 for w in self.window):
             raise ValueError(f"pool window extents must be positive, got {self.window}")
 
-    def forward(self, x: Tensor, mode: str = TRAIN, rng: RngStream | None = None) -> Tensor:
+    def _views(self, x: Tensor) -> list[Tensor]:
+        """One strided view of ``x`` per window offset, in np.ndindex order."""
         rank = len(self.window)
         if x.ndim != 2 + rank:
             raise ValueError(f"{self.name}: expected rank-{2 + rank} input, got shape {x.shape}")
-        spatial = x.shape[2:]
-        for s, w in zip(spatial, self.window):
+        for s, w in zip(x.shape[2:], self.window):
             if s % w != 0:
                 raise ValueError(f"{self.name}: spatial extent {s} not divisible by window {w}")
-        # one strided view per window offset, in np.ndindex order
-        views = [x[(slice(None), slice(None)) + tuple(
+        return [x[(slice(None), slice(None)) + tuple(
             slice(o, None, w) for o, w in zip(offs, self.window))]
             for offs in np.ndindex(*self.window)]
-        out = views[0].copy()
+
+    def _argmax(self, shape) -> Tensor:
+        return np.zeros(shape, dtype=np.min_scalar_type(int(np.prod(self.window)) - 1))
+
+    @staticmethod
+    def _pool(views: list[Tensor], out: Tensor, argmax: Tensor | None) -> None:
+        """The running maximum of ``views`` into ``out`` and, given a zeroed
+        ``argmax``, the first offset holding it."""
+        np.copyto(out, views[0])
         for view in views[1:]:
             np.maximum(view, out, out=out)  # a tie keeps ``out``, the earlier cell
-        if mode != TRAIN:
-            return self._keep(mode, out)
-        # the first offset holding the maximum: count the leading offsets
-        # that all differ from it
-        argmax = np.zeros(out.shape, dtype=np.min_scalar_type(len(views) - 1))
+        if argmax is None:
+            return
+        # count the leading offsets that all differ from the maximum
         before = np.ones(out.shape, dtype=bool)
         differs = np.empty(out.shape, dtype=bool)
         for view in views[:-1]:
             np.not_equal(view, out, out=differs)
             before &= differs
             argmax += before
+
+    def forward(self, x: Tensor, mode: str = TRAIN, rng: RngStream | None = None) -> Tensor:
+        views = self._views(x)
+        out = np.empty(views[0].shape, dtype=x.dtype)
+        argmax = self._argmax(out.shape) if mode == TRAIN else None
+        self._pool(views, out, argmax)
         return self._keep(mode, out, argmax, x.shape)
 
     def backward(self, upstream: Tensor) -> Tensor:
@@ -292,29 +316,43 @@ class BatchNorm(Layer):
     def _inv_std(self, var: Tensor, dtype) -> Tensor:
         return (1.0 / np.sqrt(var + np.asarray(self.epsilon, dtype=dtype))).astype(dtype)
 
-    def forward(self, x: Tensor, mode: str = TRAIN, rng: RngStream | None = None) -> Tensor:
+    def _maps_view(self, x: Tensor) -> Tensor:
+        """``x`` as (batch, maps, cells)."""
         if x.ndim < 2 or x.shape[1] != self.maps:
             raise ValueError(f"{self.name}: expected {self.maps} feature maps, got shape {x.shape}")
-        x3 = x.reshape(x.shape[0], self.maps, -1)
+        return x.reshape(x.shape[0], self.maps, -1)
+
+    def _centre(self, x3: Tensor, out: Tensor | None = None) -> tuple[Tensor, Tensor]:
+        """Centre ``x3`` on its batch mean into ``out`` (new when None, and
+        may be ``x3``), update the running statistics, and return the
+        centred array with the per-map inverse std."""
+        if x3.shape[0] < 2:
+            raise ValueError(f"{self.name}: train mode needs batch size >= 2")
+        count = x3.shape[0] * x3.shape[2]
+        mean = x3.sum(axis=2).sum(axis=0) / count
+        centred = np.subtract(x3, mean[:, None], out=out)
+        var = _rowdot(centred, centred).sum(axis=0) / count
+        self.running_mean[...] = (1.0 - self.momentum) * self.running_mean + self.momentum * mean
+        self.running_var[...] = (1.0 - self.momentum) * self.running_var + self.momentum * var
+        return centred, self._inv_std(var, x3.dtype)
+
+    def _affine(self, xhat: Tensor, out: Tensor | None = None) -> Tensor:
+        """gamma * xhat + beta per map, over (..., maps, cells)."""
+        out = np.multiply(xhat, self.gamma[:, None], out=out)
+        out += self.beta[:, None]
+        return out
+
+    def forward(self, x: Tensor, mode: str = TRAIN, rng: RngStream | None = None) -> Tensor:
+        x3 = self._maps_view(x)
         if mode != TRAIN:
             scale = self.gamma * self._inv_std(self.running_var, x.dtype)
             shift = self.beta - self.running_mean * scale
             out = x3 * scale.astype(x.dtype)[:, None]
             out += shift.astype(x.dtype)[:, None]
             return self._keep(mode, out.reshape(x.shape))
-        if x.shape[0] < 2:
-            raise ValueError(f"{self.name}: train mode needs batch size >= 2")
-        count = x3.shape[0] * x3.shape[2]
-        mean = x3.sum(axis=2).sum(axis=0) / count
-        xhat = x3 - mean[:, None]
-        var = _rowdot(xhat, xhat).sum(axis=0) / count
-        self.running_mean[...] = (1.0 - self.momentum) * self.running_mean + self.momentum * mean
-        self.running_var[...] = (1.0 - self.momentum) * self.running_var + self.momentum * var
-        inv_std = self._inv_std(var, x.dtype)
+        xhat, inv_std = self._centre(x3)
         xhat *= inv_std[:, None]
-        out = xhat * self.gamma[:, None]
-        out += self.beta[:, None]
-        return self._keep(mode, out.reshape(x.shape), xhat, inv_std)
+        return self._keep(mode, self._affine(xhat).reshape(x.shape), xhat, inv_std)
 
     def backward(self, upstream: Tensor) -> Tensor:
         xhat, inv_std = self._kept(upstream)
@@ -322,12 +360,38 @@ class BatchNorm(Layer):
         count = xhat.shape[0] * xhat.shape[2]
         self.g_gamma = _rowdot(up, xhat).sum(axis=0)
         self.g_beta = up.sum(axis=2).sum(axis=0)
-        # dx = gamma * inv_std * (up - g_beta / count - xhat * g_gamma / count)
-        dx = xhat * (-self.g_gamma / count)[:, None]
+        # dx = gamma * inv_std * (up - g_beta / count - xhat * g_gamma / count),
+        # formed in the cache, which is let go of anyway
+        dx = xhat.astype(np.result_type(xhat, up), copy=False)
+        dx *= (-self.g_gamma / count)[:, None]
         dx += up
         dx -= (self.g_beta / count)[:, None]
         dx *= (self.gamma * inv_std)[:, None]
         return dx.reshape(upstream.shape)
+
+
+def _train_block(x: Tensor, bn: BatchNorm, pool: MaxPool, relu: ReLU) -> Tensor:
+    """The TRAIN forward of ``bn -> pool -> relu`` over a conv output ``x``,
+    which it overwrites: the output and the three caches are those of the
+    three forwards, bit for bit, but BatchNorm's output never exists at
+    full resolution.
+
+    One pass centres ``x`` in place for the batch statistics.  Then, per
+    segment and while it is in cache, the centred values are scaled into
+    ``xhat``, normalized into one scratch, and pooled from there."""
+    x3 = bn._maps_view(x)
+    xhat, inv_std = bn._centre(x3, out=x3)
+    scratch = np.empty(xhat.shape[1:], dtype=np.result_type(x, bn.gamma))
+    views = pool._views(scratch.reshape((1,) + x.shape[1:]))
+    out = np.empty(x.shape[:1] + views[0].shape[1:], dtype=scratch.dtype)
+    argmax = pool._argmax(out.shape)
+    for b in range(x.shape[0]):
+        xhat[b] *= inv_std[:, None]
+        bn._affine(xhat[b], out=scratch)
+        pool._pool(views, out[b:b + 1], argmax[b:b + 1])
+    bn._keep(TRAIN, x, xhat, inv_std)
+    pool._keep(TRAIN, out, argmax, x.shape)
+    return relu.forward(out, TRAIN)
 
 
 class Dropout(Layer):
@@ -450,8 +514,17 @@ class Network:
                     f"expected input shape (batch, {', '.join(map(str, self.input_grid))}), "
                     f"got {x.shape}")
             x = x.reshape((x.shape[0], 1) + self.input_grid)
-        for layer in self.layers:
-            x = layer.forward(x, mode, rng)
+        layers = self.layers
+        i = 0
+        while i < len(layers):
+            x = layers[i].forward(x, mode, rng)
+            block = layers[i + 1:i + 4]
+            if (mode == TRAIN and type(layers[i]) is Conv
+                    and [type(layer) for layer in block] == [BatchNorm, MaxPool, ReLU]):
+                # Conv.forward returns a fresh array, so the block may overwrite it
+                x = _train_block(x, *block)
+                i += len(block)
+            i += 1
         return x
 
     def backward(self, upstream: Tensor) -> Tensor:

@@ -74,6 +74,14 @@ class TestSynth:
         assert "2 clips for 1 subject(s)" in stdout
         assert Manifest.load(out / "manifest.json").subjects() == ["synth01"]
 
+    @pytest.mark.parametrize("flag, count, message", [
+        ("--test-clips", "-1", "test clips per class cannot be negative, got -1"),
+        ("--clips", "0", "need at least one training clip per class, got 0"),
+    ])
+    def test_bad_clip_count(self, flag, count, message, tmp_path, capsys):
+        assert cli.main(["synth", "--out", str(tmp_path / "d"), flag, count]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestTrain:
     def test_run_directory_contents(self, run_dir):
