@@ -115,7 +115,7 @@ def _parse_seeds(args, seed: int) -> list[int]:
     """The ``--seeds`` range, else the one configured seed."""
     if args.seeds:
         lo, sep, hi = args.seeds.partition("..")
-        if not sep or not lo.isdigit() or not hi.isdigit():
+        if not sep or not (lo + hi).isascii() or not lo.isdigit() or not hi.isdigit():
             raise ConfigError(f"--seeds wants the form A..B, got {args.seeds!r}")
         lo, hi = int(lo), int(hi)
         if hi < lo:

@@ -10,7 +10,7 @@ Every layer keeps its TRAIN cache in one attribute, ``_cache``: the
 forward output shape, against which ``backward`` checks its upstream
 gradient, and what the layer's backward reads:
 
-  Conv       the zero-padded input
+  Conv       its input
   BatchNorm  the normalized input and per-map inverse std
   MaxPool    the argmax of every window and the input shape
   Dropout    the keep mask (None at rate 0)
@@ -25,6 +25,7 @@ second ``backward``, or one after an INFER forward, raises RuntimeError.
 Backward may consume its cache in place: BatchNorm forms the input
 gradient in ``xhat``, and Conv writes the gradient of its columns into
 the column buffer once the kernel gradient has read it.
+A stack computes in one dtype, the one ``Network`` casts its input to.
 
 In TRAIN mode ``Network.forward`` runs each ``Conv -> BatchNorm -> MaxPool
 -> ReLU`` run of its layer list through ``_train_block``, which works over
@@ -149,13 +150,13 @@ class Conv(Layer):
     out[b, f, x] = bias[f] + sum_g sum_d kernel[f, g, d] * input[b, g, x + d - offset]
     with zero padding; offset = (extent - 1) // 2 per axis.
 
-    The input is padded once and gathered into an im2col column array of
-    shape (batch, maps_in * taps, prod(spatial)) whose rows run in
-    (map, *tap) order, taps in ``np.ndindex(*extents)`` order: the row
-    order of ``kernel.reshape(maps_out, -1)``.  Forward and both backward
-    products are then one batched GEMM each.  TRAIN caches the padded
-    input only; backward rebuilds the columns from it, because they are
-    ``taps`` times the size of the input.
+    Each tap's window is copied straight from the input into an im2col
+    column array of shape (batch, maps_in * taps, prod(spatial)) whose rows
+    run in (map, *tap) order, taps in ``np.ndindex(*extents)`` order: the
+    row order of ``kernel.reshape(maps_out, -1)``.  Forward and both
+    backward products are then one batched GEMM each.  TRAIN caches the
+    input, which Conv never writes; backward rebuilds the columns from it,
+    because they are ``taps`` times the size of the input.
     """
 
     param_keys = ("kernel", "bias")
@@ -178,17 +179,25 @@ class Conv(Layer):
         self.g_kernel = np.zeros_like(self.kernel)
         self.g_bias = np.zeros_like(self.bias)
 
-    def _windows(self, spatial):
-        """The slice of the padded input each tap reads, in np.ndindex order."""
+    def _taps_at(self, spatial):
+        """Per tap, in np.ndindex order: the output cells that read the input
+        and the input cells they read; its other output cells read padding."""
+        every = (slice(None), slice(None))
         for offs in np.ndindex(*self.extents):
-            yield (slice(None), slice(None)) + tuple(
-                slice(o, o + s) for o, s in zip(offs, spatial))
+            # on an axis of s cells, output cell i reads input cell i + k
+            shifts = [(d - lo, s) for d, (lo, _), s in zip(offs, self._pads, spatial)]
+            yield (every + tuple(slice(max(0, -k), max(0, s - k)) for k, s in shifts),
+                   every + tuple(slice(max(0, k), max(0, s + k)) for k, s in shifts))
 
-    def _columns(self, padded: Tensor, spatial) -> Tensor:
-        cols = np.empty((padded.shape[0], self.maps_in, self._taps) + spatial, dtype=padded.dtype)
-        for t, window in enumerate(self._windows(spatial)):
-            cols[:, :, t] = padded[window]
-        return cols.reshape(padded.shape[0], self.maps_in * self._taps, -1)
+    def _columns(self, x: Tensor) -> Tensor:
+        cols = np.empty(x.shape[:2] + (self._taps,) + x.shape[2:], dtype=x.dtype)
+        # zero, on every tap at once, the cells of each axis side the padding covers
+        for i, (lo, hi) in enumerate(self._pads):
+            side = np.moveaxis(cols, 3 + i, 0)
+            side[:lo] = side[max(0, len(side) - hi):] = 0
+        for t, (out, src) in enumerate(self._taps_at(x.shape[2:])):
+            cols[:, :, t][out] = x[src]
+        return cols.reshape(x.shape[0], self.maps_in * self._taps, -1)
 
     def forward(self, x: Tensor, mode: str = TRAIN, rng: RngStream | None = None) -> Tensor:
         rank = len(self.extents)
@@ -196,31 +205,24 @@ class Conv(Layer):
             raise ValueError(f"{self.name}: expected rank-{2 + rank} input, got shape {x.shape}")
         if x.shape[1] != self.maps_in:
             raise ValueError(f"{self.name}: expected {self.maps_in} input maps, got {x.shape[1]}")
-        spatial = x.shape[2:]
-        padded = np.pad(x, ((0, 0), (0, 0)) + self._pads)
-        out = np.matmul(self.kernel.reshape(self.maps_out, -1), self._columns(padded, spatial))
+        out = np.matmul(self.kernel.reshape(self.maps_out, -1), self._columns(x))
         out += self.bias[:, None]
-        return self._keep(mode, out.reshape((x.shape[0], self.maps_out) + spatial), padded)
+        return self._keep(mode, out.reshape((x.shape[0], self.maps_out) + x.shape[2:]), x)
 
     def backward(self, upstream: Tensor) -> Tensor:
-        padded, = self._kept(upstream)
-        spatial = upstream.shape[2:]
+        x, = self._kept(upstream)
         up = upstream.reshape(upstream.shape[0], self.maps_out, -1)
         self.g_bias = up.sum(axis=2).sum(axis=0)
-        cols = self._columns(padded, spatial)
+        cols = self._columns(x)
         self.g_kernel = np.matmul(up, cols.transpose(0, 2, 1)).sum(axis=0).reshape(
             self.kernel.shape)
-        # the columns are read; d_cols takes their buffer when it has their dtype
-        same = cols.dtype == np.result_type(self.kernel, up)
-        d_cols = np.matmul(self.kernel.reshape(self.maps_out, -1).T, up,
-                           out=cols if same else None).reshape(
-            (up.shape[0], self.maps_in, self._taps) + spatial)
-        d_padded = np.zeros_like(padded)
-        for t, window in enumerate(self._windows(spatial)):
-            d_padded[window] += d_cols[:, :, t]
-        crop = (slice(None), slice(None)) + tuple(
-            slice(lo, d_padded.shape[2 + i] - hi) for i, (lo, hi) in enumerate(self._pads))
-        return np.ascontiguousarray(d_padded[crop])
+        # the columns are read; d_cols takes their buffer
+        d_cols = np.matmul(self.kernel.reshape(self.maps_out, -1).T, up, out=cols).reshape(
+            (up.shape[0], self.maps_in, self._taps) + x.shape[2:])
+        dx = np.zeros(x.shape, dtype=x.dtype)
+        for t, (out, src) in enumerate(self._taps_at(x.shape[2:])):
+            dx[src] += d_cols[:, :, t][out]
+        return dx
 
 
 class MaxPool(Layer):
@@ -313,9 +315,6 @@ class BatchNorm(Layer):
         self.g_gamma = np.zeros_like(self.gamma)
         self.g_beta = np.zeros_like(self.beta)
 
-    def _inv_std(self, var: Tensor, dtype) -> Tensor:
-        return (1.0 / np.sqrt(var + np.asarray(self.epsilon, dtype=dtype))).astype(dtype)
-
     def _maps_view(self, x: Tensor) -> Tensor:
         """``x`` as (batch, maps, cells)."""
         if x.ndim < 2 or x.shape[1] != self.maps:
@@ -334,7 +333,7 @@ class BatchNorm(Layer):
         var = _rowdot(centred, centred).sum(axis=0) / count
         self.running_mean[...] = (1.0 - self.momentum) * self.running_mean + self.momentum * mean
         self.running_var[...] = (1.0 - self.momentum) * self.running_var + self.momentum * var
-        return centred, self._inv_std(var, x3.dtype)
+        return centred, 1.0 / np.sqrt(var + self.epsilon)
 
     def _affine(self, xhat: Tensor, out: Tensor | None = None) -> Tensor:
         """gamma * xhat + beta per map, over (..., maps, cells)."""
@@ -345,10 +344,10 @@ class BatchNorm(Layer):
     def forward(self, x: Tensor, mode: str = TRAIN, rng: RngStream | None = None) -> Tensor:
         x3 = self._maps_view(x)
         if mode != TRAIN:
-            scale = self.gamma * self._inv_std(self.running_var, x.dtype)
+            scale = self.gamma * (1.0 / np.sqrt(self.running_var + self.epsilon))
             shift = self.beta - self.running_mean * scale
-            out = x3 * scale.astype(x.dtype)[:, None]
-            out += shift.astype(x.dtype)[:, None]
+            out = x3 * scale[:, None]
+            out += shift[:, None]
             return self._keep(mode, out.reshape(x.shape))
         xhat, inv_std = self._centre(x3)
         xhat *= inv_std[:, None]
@@ -360,9 +359,8 @@ class BatchNorm(Layer):
         count = xhat.shape[0] * xhat.shape[2]
         self.g_gamma = _rowdot(up, xhat).sum(axis=0)
         self.g_beta = up.sum(axis=2).sum(axis=0)
-        # dx = gamma * inv_std * (up - g_beta / count - xhat * g_gamma / count),
-        # formed in the cache, which is let go of anyway
-        dx = xhat.astype(np.result_type(xhat, up), copy=False)
+        # dx = gamma * inv_std * (up - g_beta / count - xhat * g_gamma / count)
+        dx = xhat  # formed in the cache, which is let go of anyway
         dx *= (-self.g_gamma / count)[:, None]
         dx += up
         dx -= (self.g_beta / count)[:, None]
@@ -381,7 +379,7 @@ def _train_block(x: Tensor, bn: BatchNorm, pool: MaxPool, relu: ReLU) -> Tensor:
     ``xhat``, normalized into one scratch, and pooled from there."""
     x3 = bn._maps_view(x)
     xhat, inv_std = bn._centre(x3, out=x3)
-    scratch = np.empty(xhat.shape[1:], dtype=np.result_type(x, bn.gamma))
+    scratch = np.empty(xhat.shape[1:], dtype=x.dtype)
     views = pool._views(scratch.reshape((1,) + x.shape[1:]))
     out = np.empty(x.shape[:1] + views[0].shape[1:], dtype=scratch.dtype)
     argmax = pool._argmax(out.shape)

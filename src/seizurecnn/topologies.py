@@ -145,6 +145,10 @@ class ElectrodeLayout:
                 raise LayoutError(f"channel {ch}: unknown keys {sorted(unknown)}")
             if "strip" not in entry or "contact" not in entry:
                 raise LayoutError(f"channel {ch}: strip and contact are required")
+            for key, value in entry.items():
+                # int() would truncate 1.5 and parse "2", and a bool is an int subclass
+                if type(value) is not int:
+                    raise LayoutError(f"channel {ch}: {key} must be an integer, got {value!r}")
             strips.append(entry["strip"])
             contacts.append(entry["contact"])
             hemis.append(entry.get("hemisphere"))

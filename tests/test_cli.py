@@ -159,7 +159,7 @@ class TestTrain:
         for name in finished:
             assert (tmp_path / name / "run.json").exists()
 
-    @pytest.mark.parametrize("seeds", ["3", "5..2", "a..b", ".."])
+    @pytest.mark.parametrize("seeds", ["3", "5..2", "a..b", "..", "²..3"])
     def test_bad_seed_ranges(self, dataset_dir, tmp_path, seeds):
         code = cli.main(["train", "--manifest", str(dataset_dir / "manifest.json"),
                          "--subject", "synth01", "--epochs", "1",
@@ -697,6 +697,30 @@ class TestEmptyClip:
         assert "empty clip" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
         assert sorted(p.name for p in clone.iterdir()) == ["parameters.npz", "run.json"]
+
+
+class TestNonIntegerLayout:
+    """A layout position that is not a JSON integer is a layout error (exit
+    3) before anything is written, not truncated into another layout."""
+
+    @pytest.mark.parametrize("value", [1.5, "2", True], ids=["float", "string", "bool"])
+    @pytest.mark.parametrize("key", ["strip", "contact", "hemisphere"])
+    @pytest.mark.parametrize("command", ["train", "preprocess"])
+    def test_exits_3(self, command, key, value, dataset_dir, tmp_path, capsys):
+        root = tmp_path / "data"
+        shutil.copytree(dataset_dir, root)
+        layout_path = root / "layouts" / "synth01.json"
+        doc = json.loads(layout_path.read_text())
+        doc["5"][key] = value
+        layout_path.write_text(json.dumps(doc))
+        argv = {"train": ["--subject", "synth01", "--topology", "nv2x2x4", "--epochs", "1"],
+                "preprocess": []}[command]
+        out = tmp_path / "out"
+        assert cli.main([command, "--manifest", str(root / "manifest.json"), *argv,
+                         "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: channel 5: {key} must be an integer, got {value!r}\n")
+        assert not out.exists()
 
 
 class TestReport:

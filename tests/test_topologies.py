@@ -90,6 +90,14 @@ class TestElectrodeLayout:
         with pytest.raises(LayoutError):
             ElectrodeLayout.from_mapping(doc)
 
+    @pytest.mark.parametrize("value", [1.5, "2", True], ids=["float", "string", "bool"])
+    @pytest.mark.parametrize("key", ["strip", "contact", "hemisphere"])
+    def test_from_mapping_rejects_non_integer_positions(self, key, value):
+        doc = ElectrodeLayout.default().to_mapping()
+        doc["5"][key] = value
+        with pytest.raises(LayoutError, match=f"channel 5: {key} must be an integer"):
+            ElectrodeLayout.from_mapping(doc)
+
     def test_from_mapping_rejects_wrong_channels(self):
         doc = ElectrodeLayout.default().to_mapping()
         doc["16"] = doc.pop("0")
