@@ -44,8 +44,8 @@ from .data import preprocess_clip  # noqa: F401
 from .errors import ConfigError, DataError, LayoutError, SeizureCnnError
 from .evaluation import (EvaluationReport, aggregate_runs, evaluate_subject,
                          score_clip)
-from .tensor import (RNG_ALGORITHM_ID, load_arrays, load_json, save_arrays,
-                     save_json, seeded_rng)
+from .tensor import (RNG_ALGORITHM_ID, check_fields, load_arrays, load_json,
+                     save_arrays, save_json, seeded_rng)
 from .topologies import TOPOLOGIES, build_topology
 from .training import TrainConfig, fit
 
@@ -69,21 +69,27 @@ class RunManifest:
     toolkit_version: str = __version__
     rng_algorithm: str = RNG_ALGORITHM_ID
 
+    #: run.json keys and their kinds (see tensor.check_fields); config's
+    #: contents stay unchecked, so runs written with older config keys load.
+    #: Earlier versions also recorded the decimation method.
+    KINDS = {"subject": str, "topology": str, "seed": int, "config": dict,
+             "data_manifest": str, "layout_sha256": (str, None), "artifacts": dict,
+             "toolkit_version": str, "rng_algorithm": str, "decimation": str}
+
     def save(self, path) -> None:
         save_json(path, self.__dict__)
 
     @classmethod
     def load(cls, path) -> "RunManifest":
-        obj = load_json(path, "run manifest", DataError)
-        # earlier versions recorded the decimation method; only FIR is applied now
-        legacy = obj.pop("decimation", "fir") if isinstance(obj, dict) else "fir"
+        required = [f.name for f in dataclasses.fields(cls)
+                    if f.default is dataclasses.MISSING]
+        obj = check_fields(load_json(path, "run manifest", DataError), cls.KINDS, required,
+                           f"run manifest {path}", DataError)
+        legacy = obj.pop("decimation", "fir")  # only FIR is applied now
         if legacy != "fir":
             raise DataError(f"run manifest {path} records {legacy!r} decimation; "
                             f"only FIR decimation can re-score it")
-        try:
-            run = cls(**obj)
-        except TypeError as exc:
-            raise DataError(f"run manifest {path} is malformed: {exc}") from exc
+        run = cls(**obj)
         if run.topology not in TOPOLOGIES:
             raise DataError(f"run manifest {path} names unknown topology {run.topology!r}")
         return run

@@ -33,7 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ClipFormatError, ConfigError, DataError, ManifestError
-from .tensor import FLOAT32, RngStream, Tensor, load_json, save_json, seeded_rng
+from .tensor import (FLOAT32, RngStream, Tensor, check_fields, load_json, save_json,
+                     seeded_rng)
 from .topologies import N_CHANNELS, SEGMENT_SAMPLES, ElectrodeLayout
 
 INGEST_RATE_HZ = 400.0
@@ -383,27 +384,18 @@ class Manifest:
     @classmethod
     def load(cls, path) -> "Manifest":
         path = Path(path)
-        obj = load_json(path, "manifest", ManifestError)
-        if not isinstance(obj, dict) or not isinstance(obj.get("clips"), list):
-            raise ManifestError(f"manifest {path} must be a mapping with a clips list")
-        records = []
-        for row in obj["clips"]:
-            if not isinstance(row, dict):
-                raise ManifestError(f"manifest {path}: clip rows must be mappings")
-            unknown = set(row) - {"path", "subject", "label", "split", "group"}
-            if unknown:
-                raise ManifestError(f"manifest {path}: unknown clip keys {sorted(unknown)}")
-            if not all(isinstance(v, str) for v in row.values()):
-                raise ManifestError(f"manifest {path}: clip fields must be strings, got {row}")
-            try:
-                records.append(ClipRecord(row["path"], row["subject"], row["label"],
-                                          row["split"], row.get("group")))
-            except KeyError as exc:
-                raise ManifestError(f"manifest {path}: clip row missing {exc}") from exc
+        obj = check_fields(load_json(path, "manifest", ManifestError),
+                           {"clips": list, "layouts": dict}, ["clips"],
+                           f"manifest {path}", ManifestError)
+        fields = dataclasses.fields(ClipRecord)
+        row_kinds = {f.name: str for f in fields}
+        row_required = [f.name for f in fields if f.default is dataclasses.MISSING]
+        records = [ClipRecord(**check_fields(row, row_kinds, row_required,
+                                             f"manifest {path} clip {i}", ManifestError))
+                   for i, row in enumerate(obj["clips"])]
         layouts = obj.get("layouts", {})
-        if not isinstance(layouts, dict) or \
-                not all(isinstance(p, str) for p in layouts.values()):
-            raise ManifestError(f"manifest {path}: layouts must map subject to file path")
+        check_fields(layouts, dict.fromkeys(layouts, str), [], f"manifest {path} layouts",
+                     ManifestError)
         return cls(records, layouts, base=path.parent)
 
 

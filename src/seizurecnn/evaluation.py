@@ -21,7 +21,7 @@ import numpy as np
 from .data import LABEL_CODES, SPLITS, Clip, Manifest, SegmentBatch, preprocess_clip
 from .errors import DataError
 from .layers import INFER, Network
-from .tensor import load_json, save_json
+from .tensor import check_fields, load_json, save_json
 from .topologies import TOPOLOGIES, ElectrodeLayout, reshape_batch
 
 QUARTILE_METHOD = "linear"
@@ -75,6 +75,17 @@ class ClipPrediction:
     clip_probability: float
 
 
+#: report.json keys and their kinds (see tensor.check_fields): the report's,
+#: its roc's and each clip row's; a clip row needs every one of its keys
+REPORT_KINDS = {"subject": str, "topology": str, "seed": (int, None), "split": str,
+                "auc": float, "n_preictal": int, "n_interictal": int, "clips": list,
+                "roc": dict}
+REPORT_REQUIRED = ["subject", "topology", "auc", "n_preictal", "n_interictal", "clips"]
+ROC_KINDS = dict.fromkeys(("fpr", "tpr", "thresholds"), list)
+PREDICTION_KINDS = {"clip_id": str, "label": (int, None), "segment_probabilities": list,
+                    "clip_probability": float}
+
+
 @dataclass
 class EvaluationReport:
     """Everything one evaluation produced, self-consistent by design:
@@ -112,21 +123,23 @@ class EvaluationReport:
         save_json(path, self.to_mapping())
 
     @classmethod
-    def from_mapping(cls, obj: dict) -> "EvaluationReport":
-        subject, topology, auc = obj["subject"], obj["topology"], obj["auc"]
+    def from_mapping(cls, obj, where: str = "report") -> "EvaluationReport":
+        """Read a report document; a missing, unknown or mistyped field
+        raises a DataError naming ``where``."""
+        check_fields(obj, REPORT_KINDS, REPORT_REQUIRED, where, DataError)
+        topology, auc = obj["topology"], obj["auc"]
         split = obj.get("split", "test")  # reports written before splits were recorded
-        if not isinstance(subject, str):
-            raise TypeError(f"subject must be a string, got {subject!r}")
         if topology not in TOPOLOGIES:
-            raise TypeError(f"topology must be one of {TOPOLOGIES}, got {topology!r}")
-        if isinstance(auc, bool) or not isinstance(auc, (int, float)) or not 0 <= auc <= 1:
-            raise TypeError(f"auc must be a number in [0, 1], got {auc!r}")
+            raise DataError(f"{where}: topology must be one of {TOPOLOGIES}, got {topology!r}")
+        if not 0 <= auc <= 1:
+            raise DataError(f"{where}: auc must be a number in [0, 1], got {auc!r}")
         if split not in SPLITS:
-            raise TypeError(f"split must be one of {SPLITS}, got {split!r}")
-        preds = [ClipPrediction(c["clip_id"], c["label"], c["segment_probabilities"],
-                                c["clip_probability"]) for c in obj["clips"]]
-        roc = obj.get("roc", {})
-        return cls(subject, topology, obj.get("seed"), preds,
+            raise DataError(f"{where}: split must be one of {SPLITS}, got {split!r}")
+        preds = [ClipPrediction(**check_fields(c, PREDICTION_KINDS, list(PREDICTION_KINDS),
+                                               f"{where} clip {i}", DataError))
+                 for i, c in enumerate(obj["clips"])]
+        roc = check_fields(obj.get("roc", {}), ROC_KINDS, [], f"{where} roc", DataError)
+        return cls(obj["subject"], topology, obj.get("seed"), preds,
                    auc, obj["n_preictal"], obj["n_interictal"],
                    roc.get("fpr", []), roc.get("tpr", []),
                    [float(t) for t in roc.get("thresholds", [])], split)
@@ -135,8 +148,8 @@ class EvaluationReport:
     def load(cls, path) -> "EvaluationReport":
         obj = load_json(path, "report", DataError)
         try:
-            return cls.from_mapping(obj)
-        except (KeyError, TypeError) as exc:
+            return cls.from_mapping(obj, f"report {path}")
+        except (TypeError, ValueError) as exc:  # a threshold float() cannot read
             raise DataError(f"report {path} is malformed: {exc}") from exc
 
     def roc_to_csv(self, path) -> None:

@@ -13,7 +13,7 @@ gradient, and what the layer's backward reads:
   Conv       its input
   BatchNorm  the normalized input and per-map inverse std
   MaxPool    the argmax of every window and the input shape
-  Dropout    the keep mask (None at rate 0)
+  Dropout    the keep mask
   Flatten    the input shape
   Dense      the input
   ReLU       the positive mask

@@ -16,7 +16,8 @@ versions is not promised.
 
 JSON documents (manifests, layouts, run records, reports) are written
 indented with sorted keys and a trailing newline, so equal contents give
-equal bytes.
+equal bytes. Every reader checks a document's keys and value types with
+one function, ``check_fields``.
 """
 
 from __future__ import annotations
@@ -134,3 +135,32 @@ def load_json(path, what: str, error_cls: type[Exception]):
         raise error_cls(f"cannot read {what} {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, nesting too deep
         raise error_cls(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+#: per field kind: its name in messages and the JSON value types it accepts
+_KINDS = {int: ("an integer", (int,)), float: ("a number", (int, float)),
+          str: ("a string", (str,)), list: ("a list", (list,)),
+          dict: ("a mapping", (dict,)), None: ("null", (type(None),))}
+
+
+def check_fields(obj, kinds: Mapping, required, where: str,
+                 error_cls: type[Exception]) -> dict:
+    """Return ``obj``, a parsed JSON document, once it is a mapping whose
+    every key is in ``kinds``, every key of ``required`` present, and every
+    value of its key's kind: a type or a tuple of types, None meaning null.
+    A bool is never an int; an int serves where a float is wanted. Raises
+    ``error_cls`` naming ``where`` otherwise."""
+    if not isinstance(obj, dict):
+        raise error_cls(f"{where} must be a mapping")
+    unknown = set(obj) - set(kinds)
+    if unknown:
+        raise error_cls(f"unknown {where} keys: {sorted(unknown)}")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise error_cls(f"{where}: missing keys {missing}")
+    for key, value in obj.items():
+        want = kinds[key] if isinstance(kinds[key], tuple) else (kinds[key],)
+        if not any(type(value) in _KINDS[k][1] for k in want):
+            names = " or ".join(_KINDS[k][0] for k in want)
+            raise error_cls(f"{where}: {key} must be {names}, got {value!r}")
+    return obj

@@ -42,7 +42,7 @@ import numpy as np
 from .errors import ConfigError, LayoutError
 from .layers import (BatchNorm, Conv, Dense, Dropout, Flatten, MaxPool,
                      Network, ReLU, Sigmoid)
-from .tensor import RngStream, Tensor, load_json, save_json
+from .tensor import RngStream, Tensor, check_fields, load_json, save_json
 
 N_CHANNELS = 16
 SEGMENT_SAMPLES = 3000
@@ -127,35 +127,18 @@ class ElectrodeLayout:
 
     @classmethod
     def from_mapping(cls, obj) -> "ElectrodeLayout":
-        if not isinstance(obj, dict):
-            raise LayoutError("layout document must be a mapping of channel index to position")
-        try:
-            keys = {int(k): v for k, v in obj.items()}
-        except (TypeError, ValueError):
-            raise LayoutError("layout keys must be channel indices 0..15") from None
-        if set(keys) != set(range(N_CHANNELS)):
-            raise LayoutError(f"layout must have exactly the channel keys 0..{N_CHANNELS - 1}")
-        strips, contacts, hemis = [], [], []
-        for ch in range(N_CHANNELS):
-            entry = keys[ch]
-            if not isinstance(entry, dict):
-                raise LayoutError(f"channel {ch}: position must be a mapping")
-            unknown = set(entry) - {"strip", "contact", "hemisphere"}
-            if unknown:
-                raise LayoutError(f"channel {ch}: unknown keys {sorted(unknown)}")
-            if "strip" not in entry or "contact" not in entry:
-                raise LayoutError(f"channel {ch}: strip and contact are required")
-            for key, value in entry.items():
-                # int() would truncate 1.5 and parse "2", and a bool is an int subclass
-                if type(value) is not int:
-                    raise LayoutError(f"channel {ch}: {key} must be an integer, got {value!r}")
-            strips.append(entry["strip"])
-            contacts.append(entry["contact"])
-            hemis.append(entry.get("hemisphere"))
-        with_hemi = [h is not None for h in hemis]
-        if any(with_hemi) and not all(with_hemi):
-            raise LayoutError("hemisphere must be assigned to all channels or none")
-        return cls(strips, contacts, hemis if all(with_hemi) else None)
+        """Read a layout document: channel keys "0".."15", each mapping to
+        its strip, contact and optional hemisphere."""
+        channels = [str(ch) for ch in range(N_CHANNELS)]
+        check_fields(obj, dict.fromkeys(channels, dict), channels, "layout", LayoutError)
+        # JSON integers only: int() would truncate 1.5 and parse "2"
+        position = dict.fromkeys(("strip", "contact", "hemisphere"), int)
+        entries = [check_fields(obj[ch], position, ["strip", "contact"], f"channel {ch}",
+                                LayoutError) for ch in channels]
+        # some channels without a hemisphere fail _validate's all-or-none check
+        hemis = [e["hemisphere"] for e in entries if "hemisphere" in e]
+        return cls([e["strip"] for e in entries], [e["contact"] for e in entries],
+                   hemis or None)
 
     def to_mapping(self) -> dict:
         out: dict[str, dict] = {}

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, TrainingDivergedError
 from .layers import TRAIN, Network
-from .tensor import RngStream, Tensor
+from .tensor import RngStream, Tensor, check_fields
 from .topologies import input_grid, reshape_batch
 
 BCE_CLAMP = 1e-7
@@ -59,29 +59,11 @@ class TrainConfig:
 
     @classmethod
     def from_mapping(cls, obj) -> "TrainConfig":
-        """Build from parsed config keys; unknown keys are errors."""
-        if not isinstance(obj, dict):
-            raise ConfigError("config must be a mapping")
-        fields = {f.name: f for f in dataclasses.fields(cls)}
-        unknown = set(obj) - set(fields)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {}
-        for key, value in obj.items():
-            want = fields[key].type
-            if want == "int":
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
-                kwargs[key] = value
-            elif want == "float":
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
-                kwargs[key] = float(value)
-            else:
-                if not isinstance(value, str):
-                    raise ConfigError(f"config key {key!r} must be a string, got {value!r}")
-                kwargs[key] = value
-        return cls(**kwargs).validate()
+        """Build from parsed config keys, each of its default's type (an
+        integer learning rate is stored as a float); unknown keys are errors."""
+        kinds = {f.name: type(f.default) for f in dataclasses.fields(cls)}
+        check_fields(obj, kinds, [], "config", ConfigError)
+        return cls(**{key: kinds[key](value) for key, value in obj.items()}).validate()
 
     def to_mapping(self) -> dict:
         return dataclasses.asdict(self)
@@ -171,7 +153,7 @@ def batch_loss_and_grads(network: Network, x: Tensor, y: Tensor,
     grads = dict(network.grads())
     penalty, reg_grads = regularization(network.params(), network.regularized_names(), l1, l2)
     for name, contrib in reg_grads.items():
-        grads[name] = grads[name] + contrib.astype(grads[name].dtype)
+        grads[name] = grads[name] + contrib
     return data_loss + penalty, grads
 
 

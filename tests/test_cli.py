@@ -15,7 +15,7 @@ from seizurecnn import cli, training
 from seizurecnn.data import (CLIP_MAGIC, CLIP_VERSION, _HEADER, Manifest, load_clip,
                              load_split_segments, save_clip)
 from seizurecnn.errors import TrainingDivergedError
-from seizurecnn.evaluation import EvaluationReport
+from seizurecnn.evaluation import ClipPrediction, EvaluationReport
 from seizurecnn.tensor import load_arrays, save_arrays
 from seizurecnn.topologies import ElectrodeLayout
 
@@ -412,6 +412,35 @@ class TestEvaluate:
         assert len(err) == 1 and "'nv9'" in err[0]
         assert sorted(p.name for p in clone.iterdir()) == ["parameters.npz", "run.json"]
 
+    @pytest.mark.parametrize("mutate", [
+        lambda run: run.update(data_manifest=5),
+        lambda run: run.update(subject=["x"]),
+        lambda run: run.update(seed="abc"),
+        lambda run: run.update(config="x"),
+        lambda run: run.pop("data_manifest"),
+        lambda run: run.update(notes="extra"),
+    ], ids=["data_manifest", "subject", "seed", "config", "missing", "extra"])
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_malformed_run_manifest(self, command, mutate, run_dir, dataset_dir,
+                                    tmp_path, capsys):
+        clone = tmp_path / "clone"
+        clone.mkdir()
+        (clone / "parameters.npz").write_bytes((run_dir / "parameters.npz").read_bytes())
+        run = json.loads((run_dir / "run.json").read_text())
+        mutate(run)
+        (clone / "run.json").write_text(json.dumps(run))
+        manifest = Manifest.load(dataset_dir / "manifest.json")
+        clip = str(manifest.clip_path(manifest.select(split="test")[0]))
+        argv = {"evaluate": ["--manifest", str(dataset_dir / "manifest.json")],
+                "predict": [clip]}[command]
+        capsys.readouterr()
+        assert cli.main([command, "--run", str(clone), *argv]) == 3
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(clone / "run.json") in err[0] and captured.out == ""
+        assert sorted(p.name for p in clone.iterdir()) == ["parameters.npz", "run.json"]
+
     def test_missing_run_dir(self, tmp_path):
         assert cli.main(["evaluate", "--run", str(tmp_path / "nope")]) == 3
 
@@ -785,7 +814,8 @@ class TestReport:
 
     @pytest.mark.parametrize("field,value", [("subject", ["x"]), ("subject", 7),
                                              ("topology", "nv9"), ("topology", ["nv1x16"]),
-                                             ("split", "holdout")])
+                                             ("split", "holdout"), ("seed", "abc"),
+                                             ("n_preictal", "x"), ("notes", "extra")])
     def test_bad_subject_or_topology(self, field, value, tmp_path, capsys):
         good = self.fabricate_run(tmp_path, "s1", "nv1x16", 0, 0.8)
         out = tmp_path / "summary"
@@ -799,6 +829,35 @@ class TestReport:
         assert cli.main(["report", str(good), str(bad), "--out", str(out)]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
+        assert _tree(out) == before
+
+    @pytest.mark.parametrize("mutate", [
+        lambda doc: doc["clips"][0].update(clip_id=5),
+        lambda doc: doc["clips"][0].update(extra=1),
+        lambda doc: doc["clips"][0].pop("label"),
+        lambda doc: doc["roc"]["thresholds"].append("abc"),
+        lambda doc: doc.update(roc=[]),
+        lambda doc: doc["roc"].update(fpr=0.5),
+    ], ids=["clip_id", "clip_extra", "clip_missing", "threshold", "roc_list", "roc_fpr"])
+    def test_malformed_clip_row_or_roc(self, mutate, tmp_path, capsys):
+        good = self.fabricate_run(tmp_path, "s1", "nv1x16", 0, 0.8)
+        out = tmp_path / "summary"
+        assert cli.main(["report", str(good), "--out", str(out)]) == 0
+        before = _tree(out)
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        report = EvaluationReport("s1", "nv1x16", 1, [ClipPrediction("c0", 1, [0.7], 0.7),
+                                                       ClipPrediction("c1", 0, [0.2], 0.2)],
+                                  1.0, 1, 1, [0.0, 0.0, 1.0], [0.0, 1.0, 1.0],
+                                  [np.inf, 0.7, 0.2])
+        doc = report.to_mapping()
+        mutate(doc)
+        (bad / "report.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["report", str(good), str(bad), "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(bad / "report.json") in err[0]
         assert _tree(out) == before
 
     def test_run_counted_once_however_spelled(self, tmp_path, capsys):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seizurecnn.tensor import (RNG_ALGORITHM_ID, RngStream, glorot_uniform,
+from seizurecnn.errors import DataError
+from seizurecnn.tensor import (RNG_ALGORITHM_ID, RngStream, check_fields, glorot_uniform,
                                load_arrays, save_arrays, seeded_rng)
 
 
@@ -143,3 +144,39 @@ class TestArrayFiles:
         a = load_arrays(tmp_path / "a.npz")
         b = load_arrays(tmp_path / "b.npz")
         assert np.array_equal(a["x"], b["x"]) and np.array_equal(a["y"], b["y"])
+
+
+class TestCheckFields:
+    KINDS = {"n": int, "rate": float, "name": str, "seed": (int, None), "rows": list}
+
+    def check(self, obj, required=()):
+        return check_fields(obj, self.KINDS, required, "doc", DataError)
+
+    def test_valid_document_returned_as_is(self):
+        doc = {"n": 3, "rate": 0.5, "name": "a", "seed": None, "rows": []}
+        assert self.check(doc, ["n"]) is doc
+
+    @pytest.mark.parametrize("value", [True, False, 1.0, "1", None])
+    def test_integer_rejects(self, value):
+        with pytest.raises(DataError, match=f"^doc: n must be an integer, got {value!r}$"):
+            self.check({"n": value})
+
+    def test_int_serves_as_float_but_bool_does_not(self):
+        assert self.check({"rate": 1}) == {"rate": 1}
+        with pytest.raises(DataError, match="^doc: rate must be a number, got True$"):
+            self.check({"rate": True})
+
+    def test_null_only_where_allowed(self):
+        assert self.check({"seed": None}) == {"seed": None}
+        with pytest.raises(DataError, match="^doc: name must be a string, got None$"):
+            self.check({"name": None})
+        with pytest.raises(DataError, match="^doc: seed must be an integer or null, got 'x'$"):
+            self.check({"seed": "x"})
+
+    def test_unknown_missing_and_non_mapping(self):
+        with pytest.raises(DataError, match=r"^unknown doc keys: \['a', 'b'\]$"):
+            self.check({"b": 1, "a": 2, "n": 1})
+        with pytest.raises(DataError, match=r"^doc: missing keys \['name'\]$"):
+            self.check({"n": 1}, ["n", "name"])
+        with pytest.raises(DataError, match="^doc must be a mapping$"):
+            self.check([1, 2])

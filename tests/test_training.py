@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,13 @@ class TestRegularization:
         pa, _ = regularization(params_a, ["w"], 1e-3, 1e-4)
         pb, _ = regularization(params_b, ["w"], 1e-3, 1e-4)
         assert pa == pytest.approx(pb, rel=1e-15)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradient_keeps_weight_dtype(self, dtype):
+        # batch_loss_and_grads adds these gradients without a cast
+        params = {"w": np.array([2.0, -3.0, 0.0], dtype=dtype)}
+        _, grads = regularization(params, ["w"], 1e-9, 1e-9)
+        assert grads["w"].dtype == dtype
 
 
 class TestAdam:
@@ -165,6 +174,18 @@ class TestTrainConfig:
     def test_from_mapping_accepts_int_for_float(self):
         cfg = TrainConfig.from_mapping({"learning_rate": 1})
         assert cfg.learning_rate == 1.0 and isinstance(cfg.learning_rate, float)
+
+    def test_from_mapping_messages(self):
+        with pytest.raises(ConfigError, match=r"^unknown config keys: \['momentum'\]$"):
+            TrainConfig.from_mapping({"momentum": 0.9})
+        with pytest.raises(ConfigError, match="^config: epochs must be an integer, got True$"):
+            TrainConfig.from_mapping({"epochs": True})
+        with pytest.raises(ConfigError, match="^config must be a mapping$"):
+            TrainConfig.from_mapping([("epochs", 5)])
+
+    def test_integer_learning_rate_recorded_as_float(self):
+        cfg = TrainConfig.from_mapping({"learning_rate": 1})
+        assert json.dumps(cfg.to_mapping()["learning_rate"]) == "1.0"
 
     def test_replace_revalidates(self):
         with pytest.raises(ConfigError):
