@@ -30,4 +30,4 @@ class LayoutError(DataError):
 
 
 class TrainingDivergedError(SeizureCnnError):
-    """Loss became non-finite during optimization."""
+    """Loss, gradients or parameters became non-finite during optimization."""

@@ -27,13 +27,27 @@ gradient in ``xhat``, and Conv writes the gradient of its columns into
 the column buffer once the kernel gradient has read it.
 A stack computes in one dtype, the one ``Network`` casts its input to.
 
-In TRAIN mode ``Network.forward`` runs each ``Conv -> BatchNorm -> MaxPool
--> ReLU`` run of its layer list through ``_train_block``, which works over
-the conv output in place, one segment at a time, so BatchNorm's output is
+``Network.forward`` runs each ``Conv -> BatchNorm -> MaxPool -> ReLU`` run
+of its layer list through ``_conv_block``, in both modes; the four layers'
+own ``forward`` methods stay the reference it matches bit for bit.  In
+TRAIN it is ``Conv.forward`` then ``_train_block``, which works over the
+conv output in place, one segment at a time, so BatchNorm's output is
 never written at full resolution.  Output, caches and running statistics
-are those of the three ``forward`` methods, bit for bit, but BatchNorm's
-``xhat`` then lives in the conv output's buffer.  INFER runs every layer's
-own ``forward``.
+are those of the three ``forward`` methods, but BatchNorm's ``xhat`` then
+lives in the conv output's buffer.
+
+In INFER the block pools before anything else: per segment, the columns,
+the GEMM without bias into one scratch, and the running maximum of that
+raw output.  Only the pooled tensor gets the bias, BatchNorm's folded
+scale and its shift, three separate operations in that order as in the
+layers, and then the ReLU.  The bits cannot change: each step ``+bias``,
+``*scale`` and ``+shift`` rounds monotonically, so a window's maximum of the block output
+is that output at the window's raw maximum where ``scale >= 0``, and at
+its raw minimum where ``scale < 0``.  Those maps' kernel rows are negated
+before the GEMM, which then returns exactly the negated sums, since
+rounding to nearest is symmetric in sign; the running maximum is negated
+back on the pooled tensor.  A zero whose sign differs on the way is made
+``+0`` by the ReLU, as in the layers.
 
 A layer names its persistent arrays once, in ``param_keys`` (learned,
 with the gradient of ``key`` in ``g_<key>``) and ``buffer_keys`` (kept
@@ -199,12 +213,15 @@ class Conv(Layer):
             cols[:, :, t][out] = x[src]
         return cols.reshape(x.shape[0], self.maps_in * self._taps, -1)
 
-    def forward(self, x: Tensor, mode: str = TRAIN, rng: RngStream | None = None) -> Tensor:
+    def _check(self, x: Tensor) -> None:
         rank = len(self.extents)
         if x.ndim != 2 + rank:
             raise ValueError(f"{self.name}: expected rank-{2 + rank} input, got shape {x.shape}")
         if x.shape[1] != self.maps_in:
             raise ValueError(f"{self.name}: expected {self.maps_in} input maps, got {x.shape[1]}")
+
+    def forward(self, x: Tensor, mode: str = TRAIN, rng: RngStream | None = None) -> Tensor:
+        self._check(x)
         out = np.matmul(self.kernel.reshape(self.maps_out, -1), self._columns(x))
         out += self.bias[:, None]
         return self._keep(mode, out.reshape((x.shape[0], self.maps_out) + x.shape[2:]), x)
@@ -341,11 +358,16 @@ class BatchNorm(Layer):
         out += self.beta[:, None]
         return out
 
+    def _folded(self) -> tuple[Tensor, Tensor]:
+        """The per-map scale and shift of INFER: the running statistics
+        folded into gamma and beta."""
+        scale = self.gamma * (1.0 / np.sqrt(self.running_var + self.epsilon))
+        return scale, self.beta - self.running_mean * scale
+
     def forward(self, x: Tensor, mode: str = TRAIN, rng: RngStream | None = None) -> Tensor:
         x3 = self._maps_view(x)
         if mode != TRAIN:
-            scale = self.gamma * (1.0 / np.sqrt(self.running_var + self.epsilon))
-            shift = self.beta - self.running_mean * scale
+            scale, shift = self._folded()
             out = x3 * scale[:, None]
             out += shift[:, None]
             return self._keep(mode, out.reshape(x.shape))
@@ -390,6 +412,36 @@ def _train_block(x: Tensor, bn: BatchNorm, pool: MaxPool, relu: ReLU) -> Tensor:
     bn._keep(TRAIN, x, xhat, inv_std)
     pool._keep(TRAIN, out, argmax, x.shape)
     return relu.forward(out, TRAIN)
+
+
+def _conv_block(x: Tensor, mode: str, conv: Conv, bn: BatchNorm, pool: MaxPool,
+                relu: ReLU) -> Tensor:
+    """The forward of ``conv -> bn -> pool -> relu`` over ``x``, which it
+    never writes: the bits of the four forwards, and in TRAIN their caches.
+
+    INFER pools each segment's raw GEMM output and applies the bias and
+    BatchNorm's affine only to the pooled tensor (see the module notes);
+    maps of negative scale pool their negated output."""
+    if mode == TRAIN:
+        # Conv.forward returns a fresh array, so the block may overwrite it
+        return _train_block(conv.forward(x, TRAIN), bn, pool, relu)
+    conv._check(x)
+    scratch = np.empty((conv.maps_out, int(np.prod(x.shape[2:]))), dtype=x.dtype)
+    views = pool._views(scratch.reshape((1, conv.maps_out) + x.shape[2:]))
+    out = np.empty(x.shape[:1] + views[0].shape[1:], dtype=x.dtype)
+    pooled = bn._maps_view(out)
+    scale, shift = bn._folded()
+    sign = np.where(scale < 0, x.dtype.type(-1), x.dtype.type(1))[:, None]
+    kernel = conv.kernel.reshape(conv.maps_out, -1) * sign
+    for b in range(x.shape[0]):
+        np.matmul(kernel, conv._columns(x[b:b + 1])[0], out=scratch)
+        pool._pool(views, out[b:b + 1], None)
+    pooled *= sign
+    pooled += conv.bias[:, None]
+    pooled *= scale[:, None]
+    pooled += shift[:, None]
+    conv._cache = bn._cache = pool._cache = None  # as an INFER forward of each
+    return relu.forward(out, mode)
 
 
 class Dropout(Layer):
@@ -515,14 +567,13 @@ class Network:
         layers = self.layers
         i = 0
         while i < len(layers):
-            x = layers[i].forward(x, mode, rng)
-            block = layers[i + 1:i + 4]
-            if (mode == TRAIN and type(layers[i]) is Conv
-                    and [type(layer) for layer in block] == [BatchNorm, MaxPool, ReLU]):
-                # Conv.forward returns a fresh array, so the block may overwrite it
-                x = _train_block(x, *block)
-                i += len(block)
-            i += 1
+            block = layers[i:i + 4]
+            if [type(layer) for layer in block] == [Conv, BatchNorm, MaxPool, ReLU]:
+                x = _conv_block(x, mode, *block)
+            else:
+                block = block[:1]
+                x = block[0].forward(x, mode, rng)
+            i += len(block)
         return x
 
     def backward(self, upstream: Tensor) -> Tensor:

@@ -119,9 +119,10 @@ def load_arrays(path) -> dict[str, Tensor]:
 
 
 def save_json(path, obj) -> None:
-    """Write one JSON document, indented, keys sorted, newline-terminated."""
+    """Write one JSON document, indented, keys sorted, newline-terminated;
+    a NaN or infinity, which JSON cannot hold, raises ValueError."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

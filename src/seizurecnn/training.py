@@ -53,8 +53,9 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
-        if not self.learning_rate > 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < float("inf"):
+            raise ConfigError(f"learning_rate must be positive and finite, "
+                              f"got {self.learning_rate}")
         return self
 
     @classmethod
@@ -63,7 +64,13 @@ class TrainConfig:
         integer learning rate is stored as a float); unknown keys are errors."""
         kinds = {f.name: type(f.default) for f in dataclasses.fields(cls)}
         check_fields(obj, kinds, [], "config", ConfigError)
-        return cls(**{key: kinds[key](value) for key, value in obj.items()}).validate()
+        values = {}
+        for key, value in obj.items():
+            try:
+                values[key] = kinds[key](value)
+            except OverflowError:  # an integer too large for a float
+                raise ConfigError(f"config: {key} is too large for a float") from None
+        return cls(**values).validate()
 
     def to_mapping(self) -> dict:
         return dataclasses.asdict(self)
@@ -187,7 +194,8 @@ def fit(network: Network, train, cfg: TrainConfig, rng: RngStream,
     leak in.
 
     A non-finite batch loss or gradient raises TrainingDivergedError before
-    that batch updates any parameter, so diverged parameters are never
+    that batch updates any parameter, and an update that leaves any state
+    array non-finite raises it after, so diverged parameters are never
     returned.
 
     Returns the final network state and the run history.
@@ -221,6 +229,9 @@ def fit(network: Network, train, cfg: TrainConfig, rng: RngStream,
                 if not np.isfinite(grad).all():
                     raise TrainingDivergedError(f"non-finite gradient for {name} {where}")
             adam_step(network.params(), grads, adam, cfg)
+            for name, value in network.state().items():
+                if not np.isfinite(value).all():
+                    raise TrainingDivergedError(f"non-finite {name} after the update {where}")
             batch_losses.append(loss)
         mean_losses.append(float(np.mean(batch_losses)))
 

@@ -174,6 +174,20 @@ class TestTrain:
                          "--subject", "synth01", "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("rate, code", [
+        ("1e39", 1), ("1e308", 1),  # the first ADAM update overflows float32
+        ("1e400", 2), ("Infinity", 2), ("1" + "0" * 400, 2)])
+    def test_learning_rate_that_cannot_train(self, rate, code, dataset_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"learning_rate": {rate}, "epochs": 1}}')
+        assert cli.main(["train", "--config", str(cfg),
+                         "--manifest", str(dataset_dir / "manifest.json"),
+                         "--subject", "synth01", "--out", str(tmp_path / "runs")]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len([line for line in err if line.startswith("error: ")]) == 1, err
+        assert not (tmp_path / "runs").exists()
+
     def test_run_json_records_the_five_settings(self, run_dir):
         run = json.loads((run_dir / "run.json").read_text())
         assert set(run["config"]) == {"topology", "seed", "epochs", "batch_size",

@@ -1,10 +1,13 @@
-"""The fused TRAIN path of a conv block against the layers run one by one.
+"""The fused path of a conv block against the layers run one by one.
 
-In TRAIN mode ``Network.forward`` runs every ``Conv -> BatchNorm ->
-MaxPool -> ReLU`` run of its layer list through one function that works
-over the conv output in place. These tests hold it to the three layer
-forwards bit for bit: the output, every cache and the running
-statistics, then the gradients and parameters of a whole training step.
+``Network.forward`` runs every ``Conv -> BatchNorm -> MaxPool -> ReLU``
+run of its layer list through one block function. In TRAIN it works over
+the conv output in place; these tests hold it to the layer forwards bit
+for bit: the output, every cache and the running statistics, then the
+gradients and parameters of a whole training step. In INFER it pools the
+raw GEMM output of each segment before the bias, BatchNorm's affine and
+the ReLU; its output must have the layers' bits too, also where gamma is
+negative, zero or minus zero.
 """
 
 import numpy as np
@@ -12,7 +15,7 @@ import pytest
 
 from gradcheck import FD_TOL, check_network
 from seizurecnn import training
-from seizurecnn.layers import (TRAIN, BatchNorm, Conv, Dense, Flatten, MaxPool,
+from seizurecnn.layers import (INFER, TRAIN, BatchNorm, Conv, Dense, Flatten, MaxPool,
                                Network, ReLU, Sigmoid)
 from seizurecnn.tensor import seeded_rng
 from seizurecnn.topologies import (TOPOLOGIES, ElectrodeLayout, _block_geometry,
@@ -34,6 +37,7 @@ class LayerByLayer(Network):
 
 
 def assert_same_bits(a, b, what):
+    """Equal arrays by their bytes, so signed zeros count; tuples item by item."""
     if isinstance(a, np.ndarray):
         assert isinstance(b, np.ndarray), what
         assert (a.dtype, a.shape) == (b.dtype, b.shape), what
@@ -57,6 +61,18 @@ def randomize_batchnorm(layers, rng):
             layer.beta[...] = rng.normal(size=layer.maps).astype(dtype)
             layer.running_mean[...] = rng.normal(size=layer.maps).astype(dtype)
             layer.running_var[...] = rng.uniform(0.5, 2.0, size=layer.maps).astype(dtype)
+
+
+def signed_zero_batchnorm(layers):
+    """On top of ``randomize_batchnorm``: a third of gamma 0, a fifth -0,
+    beta +0 and -0 by turns, and some running means -0."""
+    for layer in layers:
+        if isinstance(layer, BatchNorm):
+            layer.gamma[::3] = 0
+            layer.gamma[1::5] = -0.0
+            layer.beta[::4] = 0
+            layer.beta[2::4] = -0.0
+            layer.running_mean[1::3] = -0.0
 
 
 def block_networks(topology, block, dtype):
@@ -139,8 +155,50 @@ def test_train_forward_skips_the_block_forwards(monkeypatch):
     x = seeded_rng(9).normal(size=shape).astype(np.float32)
     fused.forward(x, TRAIN)
     assert calls == []
-    fused.forward(x, "infer")
-    assert calls == ["bn", "pool"]
+    fused.forward(x, INFER)
+    assert calls == []
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
+@pytest.mark.parametrize("block", range(6))
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_infer_block_matches_layers(topology, block, dtype):
+    (fused, reference), shape = block_networks(topology, block, dtype)
+    for net in (fused, reference):
+        signed_zero_batchnorm(net.layers)
+    assert (fused.layers[1].gamma < 0).any()
+    x = seeded_rng(7).normal(size=shape).astype(dtype)
+    before = x.copy()
+    assert_same_bits(fused.forward(x, INFER), reference.forward(x, INFER), "output")
+    assert_same_bits(x, before, "caller's input")
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_infer_network_matches_layers(topology):
+    fused, reference = topology_networks(topology)
+    for net in (fused, reference):
+        signed_zero_batchnorm(net.layers)
+    x = seeded_rng(17).normal(size=(5,) + input_grid(topology)).astype(np.float32)
+    assert_same_bits(fused.forward(x, INFER), reference.forward(x, INFER), "output")
+
+
+def test_infer_block_drops_the_train_caches():
+    (fused, _), shape = block_networks("nv1x16", 0, np.float64)
+    x = seeded_rng(18).normal(size=shape)
+    out = fused.forward(x, TRAIN)
+    fused.forward(x, INFER)
+    for layer in fused.layers:
+        assert layer._cache is None, layer.name
+    with pytest.raises(RuntimeError):
+        fused.backward(np.ones_like(out))
+
+
+def test_infer_block_keeps_the_conv_checks():
+    (fused, _), shape = block_networks("nv4x4", 1, np.float32)
+    with pytest.raises(ValueError, match="input maps"):
+        fused.forward(np.zeros((2, shape[1] + 1) + shape[2:], np.float32), INFER)
+    with pytest.raises(ValueError, match="rank"):
+        fused.forward(np.zeros(shape[:-1], np.float32), INFER)
 
 
 def test_fused_stack_gradients():

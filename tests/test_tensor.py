@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from seizurecnn.errors import DataError
 from seizurecnn.tensor import (RNG_ALGORITHM_ID, RngStream, check_fields, glorot_uniform,
-                               load_arrays, save_arrays, seeded_rng)
+                               load_arrays, save_arrays, save_json, seeded_rng)
 
 
 class TestRngStream:
@@ -144,6 +144,12 @@ class TestArrayFiles:
         a = load_arrays(tmp_path / "a.npz")
         b = load_arrays(tmp_path / "b.npz")
         assert np.array_equal(a["x"], b["x"]) and np.array_equal(a["y"], b["y"])
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_save_json_refuses_what_json_cannot_hold(tmp_path, value):
+    with pytest.raises(ValueError):
+        save_json(tmp_path / "doc.json", {"config": {"learning_rate": value}})
 
 
 class TestCheckFields:

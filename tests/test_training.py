@@ -144,6 +144,7 @@ class TestTrainConfig:
         {"epochs": -3},
         {"batch_size": 0},
         {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
         {"topology": ""},
         {"topology": "nv16"},
         {"seed": 2 ** 64},
@@ -182,6 +183,10 @@ class TestTrainConfig:
             TrainConfig.from_mapping({"epochs": True})
         with pytest.raises(ConfigError, match="^config must be a mapping$"):
             TrainConfig.from_mapping([("epochs", 5)])
+
+    def test_integer_too_large_for_a_float(self):
+        with pytest.raises(ConfigError, match="^config: learning_rate is too large for a float$"):
+            TrainConfig.from_mapping({"learning_rate": 10 ** 400})
 
     def test_integer_learning_rate_recorded_as_float(self):
         cfg = TrainConfig.from_mapping({"learning_rate": 1})
@@ -298,6 +303,13 @@ class TestFit:
         cfg = self.cfg(learning_rate=1e30, epochs=5)
         with pytest.raises(TrainingDivergedError):
             fit(net, separable_batch(), cfg, seeded_rng(0).split("fit"))
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_divergence_in_the_last_update_detected(self):
+        # one batch, one epoch: no later loss or gradient would show it
+        cfg = self.cfg(learning_rate=1e39, epochs=1, batch_size=8)
+        with pytest.raises(TrainingDivergedError, match="after the update at epoch 1, batch 1"):
+            fit(toy_network(batchnorm=True), separable_batch(), cfg, seeded_rng(0).split("fit"))
 
     def test_deterministic_given_seed(self):
         states = []
