@@ -117,17 +117,20 @@ def _require_subject(manifest: Manifest, subject: str) -> None:
         raise DataError(f"unknown subject {subject!r}; manifest has {manifest.subjects()}")
 
 
-def _parse_seeds(args, seed: int) -> list[int]:
+def _parse_seeds(args, seed: int) -> range:
     """The ``--seeds`` range, else the one configured seed."""
     if args.seeds:
         lo, sep, hi = args.seeds.partition("..")
         if not sep or not (lo + hi).isascii() or not lo.isdigit() or not hi.isdigit():
             raise ConfigError(f"--seeds wants the form A..B, got {args.seeds!r}")
-        lo, hi = int(lo), int(hi)
+        try:
+            lo, hi = int(lo), int(hi)
+        except ValueError:  # beyond int()'s digit limit
+            raise ConfigError("--seeds has an endpoint too long to read") from None
         if hi < lo:
             raise ConfigError(f"--seeds range is empty: {args.seeds}")
-        return list(range(lo, hi + 1))
-    return [seed]
+        return range(lo, hi + 1)
+    return range(seed, seed + 1)
 
 
 def _commit(directory: Path, files: dict) -> None:
@@ -188,13 +191,15 @@ def cmd_train(args) -> int:
     cfg = _load_config(args)
     manifest = Manifest.load(args.manifest)
     _require_subject(manifest, args.subject)
-    configs = [cfg.replace(seed=s) for s in _parse_seeds(args, cfg.seed)]
+    seeds = _parse_seeds(args, cfg.seed)
+    for seed in (seeds[0], seeds[-1]):  # the seed check is a range, so the ends cover it
+        cfg.replace(seed=seed)
     layout = manifest.layout_for(args.subject)
     train_batch, _ = load_split_segments(manifest, args.subject, "train")
     code = 0
-    for seed_cfg in configs:
+    for seed in seeds:
         try:
-            print(_train_one(seed_cfg, args.manifest, args.subject, layout,
+            print(_train_one(cfg.replace(seed=seed), args.manifest, args.subject, layout,
                              train_batch, args.out))
         except SeizureCnnError as exc:
             code = code or _error_exit(exc)

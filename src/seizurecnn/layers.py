@@ -23,17 +23,14 @@ gradient, and what the layer's backward reads:
 forward caches nothing and drops what an earlier TRAIN forward left, so a
 second ``backward``, or one after an INFER forward, raises RuntimeError.
 Backward may consume its cache in place: BatchNorm forms the input
-gradient in ``xhat``, and Conv writes the gradient of its columns into
-the column buffer once the kernel gradient has read it.
+gradient in ``xhat``.
 A stack computes in one dtype, the one ``Network`` casts its input to.
 
 ``Network.forward`` runs each ``Conv -> BatchNorm -> MaxPool -> ReLU`` run
 of its layer list through ``_conv_block``, in both modes; the four layers'
 own ``forward`` methods stay the reference it matches bit for bit.  In
 TRAIN it is ``Conv.forward`` then ``_train_block``, which works over the
-conv output in place, one segment at a time, so BatchNorm's output is
-never written at full resolution.  Output, caches and running statistics
-are those of the three ``forward`` methods, but BatchNorm's ``xhat`` then
+conv output in place, one segment at a time; BatchNorm's ``xhat`` then
 lives in the conv output's buffer.
 
 In INFER the block pools before anything else: per segment, the columns,
@@ -57,12 +54,14 @@ derive from those names.
 Convolution is cross-correlation with zero "same" padding: output spatial
 shape equals input spatial shape for every kernel extent, and kernels of
 even extent are anchored with the extra tap toward larger index.  It runs
-as one im2col GEMM whose columns are ordered ``(map, *tap)``.  Max
+as im2col GEMMs over columns ordered ``(map, *tap)``, one segment at a
+time in both directions, so no call holds a batch of columns.  Max
 pooling is non-overlapping with first-occurrence tie-breaking: both modes
-take one running maximum over a strided view per window offset, and TRAIN
+take one running maximum over a strided view per window offset, TRAIN
 also keeps the offset of each window's first maximum, a uint8 for every
-window the topologies use.  All of it is deterministic given the inputs
-and the dropout stream.
+window the topologies use, and backward scatters each segment's gradient
+to those cells.  All of it is deterministic given the inputs and the
+dropout stream.
 """
 
 from __future__ import annotations
@@ -97,8 +96,8 @@ class Layer:
     #: parameter keys subject to L1/L2 weight decay
     regularized: tuple[str, ...] = ()
 
-    def __init__(self, name: str):
-        self.name = name
+    def __init__(self, name: str | None = None):
+        self.name = name if name is not None else type(self).__name__.lower()
         self._cache = None
 
     def forward(self, x: Tensor, mode: str = TRAIN, rng: RngStream | None = None) -> Tensor:
@@ -164,13 +163,14 @@ class Conv(Layer):
     out[b, f, x] = bias[f] + sum_g sum_d kernel[f, g, d] * input[b, g, x + d - offset]
     with zero padding; offset = (extent - 1) // 2 per axis.
 
-    Each tap's window is copied straight from the input into an im2col
-    column array of shape (batch, maps_in * taps, prod(spatial)) whose rows
-    run in (map, *tap) order, taps in ``np.ndindex(*extents)`` order: the
-    row order of ``kernel.reshape(maps_out, -1)``.  Forward and both
-    backward products are then one batched GEMM each.  TRAIN caches the
-    input, which Conv never writes; backward rebuilds the columns from it,
-    because they are ``taps`` times the size of the input.
+    Each tap's window is copied straight from one segment of the input into
+    one im2col scratch per call, (maps_in * taps, prod(spatial)), rows in
+    (map, *tap) order, taps in ``np.ndindex(*extents)`` order: the row order
+    of ``kernel.reshape(maps_out, -1)``.  Each product is one GEMM per
+    segment, as numpy's batched GEMM is, so the bits are the same; the
+    kernel gradient sums the segments' products in batch order from the
+    first, as ``sum(axis=0)`` does.  TRAIN caches the input, which Conv
+    never writes; backward rebuilds the columns from it.
     """
 
     param_keys = ("kernel", "bias")
@@ -203,15 +203,17 @@ class Conv(Layer):
             yield (every + tuple(slice(max(0, -k), max(0, s - k)) for k, s in shifts),
                    every + tuple(slice(max(0, k), max(0, s + k)) for k, s in shifts))
 
-    def _columns(self, x: Tensor) -> Tensor:
-        cols = np.empty(x.shape[:2] + (self._taps,) + x.shape[2:], dtype=x.dtype)
-        # zero, on every tap at once, the cells of each axis side the padding covers
+    def _columns(self, x: Tensor):
+        """Each segment's columns in batch order, all in one scratch."""
+        cols = np.empty((1, self.maps_in, self._taps) + x.shape[2:], dtype=x.dtype)
+        # zero, on every tap at once, the padding cells, which no segment writes
         for i, (lo, hi) in enumerate(self._pads):
             side = np.moveaxis(cols, 3 + i, 0)
             side[:lo] = side[max(0, len(side) - hi):] = 0
-        for t, (out, src) in enumerate(self._taps_at(x.shape[2:])):
-            cols[:, :, t][out] = x[src]
-        return cols.reshape(x.shape[0], self.maps_in * self._taps, -1)
+        for b in range(x.shape[0]):
+            for t, (out, src) in enumerate(self._taps_at(x.shape[2:])):
+                cols[:, :, t][out] = x[b:b + 1][src]
+            yield cols.reshape(self.maps_in * self._taps, -1)
 
     def _check(self, x: Tensor) -> None:
         rank = len(self.extents)
@@ -222,7 +224,10 @@ class Conv(Layer):
 
     def forward(self, x: Tensor, mode: str = TRAIN, rng: RngStream | None = None) -> Tensor:
         self._check(x)
-        out = np.matmul(self.kernel.reshape(self.maps_out, -1), self._columns(x))
+        kernel = self.kernel.reshape(self.maps_out, -1)
+        out = np.empty((x.shape[0], self.maps_out, int(np.prod(x.shape[2:]))), dtype=x.dtype)
+        for b, cols in enumerate(self._columns(x)):
+            np.matmul(kernel, cols, out=out[b])
         out += self.bias[:, None]
         return self._keep(mode, out.reshape((x.shape[0], self.maps_out) + x.shape[2:]), x)
 
@@ -230,15 +235,20 @@ class Conv(Layer):
         x, = self._kept(upstream)
         up = upstream.reshape(upstream.shape[0], self.maps_out, -1)
         self.g_bias = up.sum(axis=2).sum(axis=0)
-        cols = self._columns(x)
-        self.g_kernel = np.matmul(up, cols.transpose(0, 2, 1)).sum(axis=0).reshape(
-            self.kernel.shape)
-        # the columns are read; d_cols takes their buffer
-        d_cols = np.matmul(self.kernel.reshape(self.maps_out, -1).T, up, out=cols).reshape(
-            (up.shape[0], self.maps_in, self._taps) + x.shape[2:])
+        kernel_t = self.kernel.reshape(self.maps_out, -1).T
+        g_kernel = np.zeros(kernel_t.shape[::-1], dtype=x.dtype)  # an empty batch's sum
+        term = np.empty_like(g_kernel)
+        d_cols = np.empty((1, self.maps_in, self._taps) + x.shape[2:], dtype=x.dtype)
         dx = np.zeros(x.shape, dtype=x.dtype)
-        for t, (out, src) in enumerate(self._taps_at(x.shape[2:])):
-            dx[src] += d_cols[:, :, t][out]
+        for b, cols in enumerate(self._columns(x)):
+            # start from the first term: zero plus it would turn -0.0 into +0.0
+            np.matmul(up[b], cols.T, out=g_kernel if b == 0 else term)
+            if b:
+                g_kernel += term
+            np.matmul(kernel_t, up[b], out=d_cols.reshape(cols.shape))
+            for t, (out, src) in enumerate(self._taps_at(x.shape[2:])):
+                dx[b:b + 1][src] += d_cols[:, :, t][out]
+        self.g_kernel = g_kernel.reshape(self.kernel.shape)
         return dx
 
 
@@ -247,7 +257,8 @@ class MaxPool(Layer):
 
     Window offsets, and the argmax that indexes them, run in
     ``np.ndindex(*window)`` order.  The argmax is the smallest unsigned
-    type that holds it: uint8 up to 256 cells per window.
+    type that holds it: uint8 up to 256 cells per window.  Backward writes
+    each segment's gradient straight to its argmax cells of a zeroed ``dx``.
     """
 
     def __init__(self, window, name: str = "pool"):
@@ -297,12 +308,18 @@ class MaxPool(Layer):
 
     def backward(self, upstream: Tensor) -> Tensor:
         argmax, in_shape = self._kept(upstream)
-        rank = len(self.window)
-        flat = np.zeros(upstream.shape + (int(np.prod(self.window)),), dtype=upstream.dtype)
-        np.put_along_axis(flat, argmax[..., None], upstream[..., None], axis=-1)
-        # (batch, maps, *outs, *window) back to (batch, maps, out0, win0, out1, win1, ...)
-        perm = (0, 1) + tuple(a for i in range(rank) for a in (2 + i, 2 + rank + i))
-        return flat.reshape(upstream.shape + self.window).transpose(perm).reshape(in_shape)
+        seg = in_shape[1:]
+        # flat in one segment: each window's first cell, and each offset from it
+        first = np.ravel_multi_index(np.ix_(*(
+            np.arange(0, s, w) for s, w in zip(seg, (1,) + self.window))), seg)
+        offset = np.ravel_multi_index(
+            (0,) + tuple(np.indices(self.window).reshape(len(self.window), -1)), seg)
+        dx = np.zeros(in_shape, dtype=upstream.dtype)
+        for b in range(in_shape[0]):
+            cell = offset[argmax[b]]
+            cell += first
+            dx[b].reshape(-1)[cell.reshape(-1)] = upstream[b].reshape(-1)
+        return dx
 
 
 class BatchNorm(Layer):
@@ -418,10 +435,7 @@ def _conv_block(x: Tensor, mode: str, conv: Conv, bn: BatchNorm, pool: MaxPool,
                 relu: ReLU) -> Tensor:
     """The forward of ``conv -> bn -> pool -> relu`` over ``x``, which it
     never writes: the bits of the four forwards, and in TRAIN their caches.
-
-    INFER pools each segment's raw GEMM output and applies the bias and
-    BatchNorm's affine only to the pooled tensor (see the module notes);
-    maps of negative scale pool their negated output."""
+    INFER pools before the bias and BatchNorm's affine (see the module notes)."""
     if mode == TRAIN:
         # Conv.forward returns a fresh array, so the block may overwrite it
         return _train_block(conv.forward(x, TRAIN), bn, pool, relu)
@@ -433,8 +447,8 @@ def _conv_block(x: Tensor, mode: str, conv: Conv, bn: BatchNorm, pool: MaxPool,
     scale, shift = bn._folded()
     sign = np.where(scale < 0, x.dtype.type(-1), x.dtype.type(1))[:, None]
     kernel = conv.kernel.reshape(conv.maps_out, -1) * sign
-    for b in range(x.shape[0]):
-        np.matmul(kernel, conv._columns(x[b:b + 1])[0], out=scratch)
+    for b, cols in enumerate(conv._columns(x)):
+        np.matmul(kernel, cols, out=scratch)
         pool._pool(views, out[b:b + 1], None)
     pooled *= sign
     pooled += conv.bias[:, None]
@@ -470,9 +484,6 @@ class Dropout(Layer):
 
 class Flatten(Layer):
     """Collapse (batch, maps, *spatial) to (batch, features); pure reshape."""
-
-    def __init__(self, name: str = "flatten"):
-        super().__init__(name)
 
     def forward(self, x: Tensor, mode: str = TRAIN, rng: RngStream | None = None) -> Tensor:
         return self._keep(mode, x.reshape(x.shape[0], -1), x.shape)
@@ -511,9 +522,6 @@ class Dense(Layer):
 
 
 class ReLU(Layer):
-    def __init__(self, name: str = "relu"):
-        super().__init__(name)
-
     def forward(self, x: Tensor, mode: str = TRAIN, rng: RngStream | None = None) -> Tensor:
         return self._keep(mode, np.maximum(x, x.dtype.type(0)), x > 0 if mode == TRAIN else None)
 
@@ -523,9 +531,6 @@ class ReLU(Layer):
 
 
 class Sigmoid(Layer):
-    def __init__(self, name: str = "sigmoid"):
-        super().__init__(name)
-
     def forward(self, x: Tensor, mode: str = TRAIN, rng: RngStream | None = None) -> Tensor:
         out = np.empty_like(x)
         pos = x >= 0

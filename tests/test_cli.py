@@ -166,6 +166,17 @@ class TestTrain:
                          "--seeds", seeds, "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("seeds", ["0..18446744073709551616", "0.." + "9" * 5000],
+                             ids=["past-2**64", "5000-digits"])
+    def test_seed_range_past_the_seed_limit(self, dataset_dir, tmp_path, capsys, seeds):
+        code = cli.main(["train", "--manifest", str(dataset_dir / "manifest.json"),
+                         "--subject", "synth01", "--epochs", "1",
+                         "--seeds", seeds, "--out", str(tmp_path)])
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     def test_config_file_with_unknown_key(self, dataset_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"epochs": 1, "weight_decay": 0.1}))
@@ -700,6 +711,15 @@ class TestNonFiniteSamples:
         assert list(tmp_path.iterdir()) == []
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "NaN or infinite sample" in err[0]
+
+    def test_train_over_every_seed(self, poisoned_dir, tmp_path, capsys):
+        # all 2**64 seeds: the range is walked, never built, so the data error comes first
+        code = cli.main(["train", "--manifest", str(poisoned_dir / "manifest.json"),
+                         "--subject", "synth01", "--epochs", "1",
+                         "--seeds", "0..18446744073709551615", "--out", str(tmp_path)])
+        assert code == 3
+        assert list(tmp_path.iterdir()) == []
+        assert "NaN or infinite sample" in capsys.readouterr().err
 
     def test_preprocess(self, poisoned_dir, tmp_path):
         code = cli.main(["preprocess", "--manifest", str(poisoned_dir / "manifest.json"),

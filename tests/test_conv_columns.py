@@ -1,19 +1,25 @@
-"""Conv's im2col against the pad-then-slice im2col it replaced.
+"""Conv's per-segment im2col against a full-batch, pad-then-slice im2col,
+and MaxPool's per-segment backward against a full-batch scatter.
 
-``Conv`` copies each tap's window straight from its input into the
-column array and zeroes the cells that would read the padding; backward
-adds each tap's column gradient straight into the input gradient.
+``Conv`` copies each tap's window straight from one segment of its input
+into one column scratch, zeroes the cells that would read the padding
+once, and runs each product as one GEMM per segment; backward adds each
+tap's column gradient straight into the input gradient.
 ``PadThenSliceConv`` keeps the earlier form: pad a copy of the input,
-slice every tap's window from the copy, and crop a padded gradient.
-Both must give the same bits, and Conv must leave its input, which it
-now caches without a copy, untouched.
+slice every tap's window of the whole batch from the copy, one batched
+GEMM per product, and crop a padded gradient.  ``flat_then_transpose``
+is MaxPool's earlier backward.  Each pair must give the same bits,
+signed zeros included, Conv must leave its input, which it caches
+without a copy, untouched, and neither may hold a batch-sized scratch.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from seizurecnn import training
-from seizurecnn.layers import INFER, TRAIN, Conv, Network
+from seizurecnn.layers import INFER, TRAIN, Conv, MaxPool, Network
 from seizurecnn.tensor import seeded_rng
 from seizurecnn.topologies import (TOPOLOGIES, ElectrodeLayout, _block_geometry,
                                    build_topology, input_grid)
@@ -186,3 +192,102 @@ def test_stack_keeps_its_dtype(topology, dtype):
     assert net.backward(np.ones_like(out)).dtype == dtype
     for key, value in {**net.state(), **net.grads()}.items():
         assert value.dtype == dtype, key
+
+
+def with_signed_zeros(a):
+    """``a`` with every fifth entry ``-0.0`` and every seventh ``+0.0``."""
+    flat = a.reshape(-1)
+    flat[::5] = -0.0
+    flat[::7] = 0.0
+    return a
+
+
+@pytest.mark.parametrize("batch", (1, 2, 3))
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
+@pytest.mark.parametrize("case", topology_convs())
+def test_segments_match_batched_gemm(case, dtype, batch):
+    maps_in, maps_out, extents, spatial = case
+    conv, reference = conv_pair(maps_in, maps_out, extents, dtype)
+    x = with_signed_zeros(seeded_rng(14).normal(size=(batch, maps_in) + spatial).astype(dtype))
+    out = conv.forward(x, TRAIN)
+    assert_same_bits(out, reference.forward(x, TRAIN), "output")
+    up = with_signed_zeros(seeded_rng(15).normal(size=out.shape).astype(dtype))
+    up[0, 0] = -0.0  # a map whose every upstream cell is -0.0
+    assert_same_bits(conv.backward(up), reference.backward(up), "input gradient")
+    assert_same_bits(conv.g_kernel, reference.g_kernel, "g_kernel")
+    assert_same_bits(conv.g_bias, reference.g_bias, "g_bias")
+
+
+def flat_then_transpose(pool, argmax, upstream, in_shape):
+    """MaxPool's earlier backward: scatter the whole batch into a
+    ``(..., window cells)`` array, then transpose it back into place."""
+    rank = len(pool.window)
+    flat = np.zeros(upstream.shape + (int(np.prod(pool.window)),), dtype=upstream.dtype)
+    np.put_along_axis(flat, argmax[..., None], upstream[..., None], axis=-1)
+    perm = (0, 1) + tuple(a for i in range(rank) for a in (2 + i, 2 + rank + i))
+    return flat.reshape(upstream.shape + pool.window).transpose(perm).reshape(in_shape)
+
+
+def topology_windows():
+    return sorted({pool for topology in TOPOLOGIES
+                   for _, pool, _ in _block_geometry(topology)}, key=lambda w: (len(w), w))
+
+
+@pytest.mark.parametrize("batch", (1, 2, 3))
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
+@pytest.mark.parametrize("window", topology_windows(), ids=str)
+def test_pool_backward_matches_flat_then_transpose(window, dtype, batch):
+    pool = MaxPool(window)
+    shape = (batch, 3) + tuple(w * n for w, n in zip(window, (3, 2, 2, 3)[-len(window):]))
+    # few distinct values, so most windows hold ties, and zeros of both signs
+    x = seeded_rng(16).integers(-2, 3, size=shape).astype(dtype)
+    x[seeded_rng(17).uniform(size=shape) < 0.5] *= -1
+    out = pool.forward(x, TRAIN)
+    argmax = pool._cache[1][0]
+    up = with_signed_zeros(seeded_rng(18).normal(size=out.shape).astype(dtype))
+    assert_same_bits(pool.backward(up), flat_then_transpose(pool, argmax, up, x.shape),
+                     "input gradient")
+
+
+def traced_peak(call):
+    """What ``call`` returns, and the peak of what it allocates meanwhile."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# index tuples, views, and numpy's fixed-size ufunc buffers (8192 items per operand)
+SLACK = 256 * 1024
+
+
+def test_conv_holds_segment_columns_only():
+    batch, maps_in, extents, spatial = 8, 16, (1, 2, 5), (4, 4, 120)
+    conv = Conv(maps_in, 32, extents, seeded_rng(19))
+    x = seeded_rng(20).normal(size=(batch, maps_in) + spatial).astype(np.float32)
+    segment = maps_in * conv._taps * int(np.prod(spatial)) * x.itemsize  # one segment's columns
+    out, forward = traced_peak(lambda: conv.forward(x, TRAIN))
+    assert forward <= out.nbytes + segment + SLACK
+    up = seeded_rng(21).normal(size=out.shape).astype(np.float32)
+    dx, backward = traced_peak(lambda: conv.backward(up))
+    # the columns and their gradient, one segment each
+    assert backward <= dx.nbytes + 2 * segment + SLACK
+    # the batch's columns would be ``batch`` segments
+    assert max(forward, backward) < batch * segment / 2
+
+
+@pytest.mark.parametrize("window,windows", [((1, 5), (4, 600)), ((1, 1, 2, 5), (2, 2, 2, 300)),
+                                            ((2, 1, 1, 4), (2, 2, 4, 300))], ids=str)
+def test_pool_backward_holds_segment_indices_only(window, windows):
+    batch = 8
+    pool = MaxPool(window)
+    shape = (batch, 16) + tuple(w * n for w, n in zip(window, windows))
+    out = pool.forward(seeded_rng(22).normal(size=shape).astype(np.float32), TRAIN)
+    up = seeded_rng(23).normal(size=out.shape).astype(np.float32)
+    dx, peak = traced_peak(lambda: pool.backward(up))
+    # one segment's flat indices: each window's first cell, its argmax cell,
+    # and numpy's intp copy of the uint8 argmax while it indexes
+    indices = 3 * np.dtype(np.intp).itemsize * (out.size // batch)
+    assert peak <= dx.nbytes + indices + SLACK
