@@ -15,7 +15,7 @@ silently mis-gridding channels. Every command but synth writes its files
 through ``_commit``, so a failed command leaves its earlier output as it
 was and a reader never finds new files beside stale ones.
 
-``train --seeds A..B`` preprocesses the training split once and then
+``train --seed A..B`` preprocesses the training split once and then
 trains one seed after another in this process. Every seed runs even when
 another fails: each finished run directory is printed, each failure gets
 its own error line, and the exit code is that of the first failed seed.
@@ -107,8 +107,6 @@ def _load_config(args) -> TrainConfig:
         keys["topology"] = args.topology
     if args.epochs is not None:
         keys["epochs"] = args.epochs
-    if args.seed is not None:
-        keys["seed"] = args.seed
     return TrainConfig.from_mapping(keys)
 
 
@@ -117,20 +115,20 @@ def _require_subject(manifest: Manifest, subject: str) -> None:
         raise DataError(f"unknown subject {subject!r}; manifest has {manifest.subjects()}")
 
 
-def _parse_seeds(args, seed: int) -> range:
-    """The ``--seeds`` range, else the one configured seed."""
-    if args.seeds:
-        lo, sep, hi = args.seeds.partition("..")
-        if not sep or not (lo + hi).isascii() or not lo.isdigit() or not hi.isdigit():
-            raise ConfigError(f"--seeds wants the form A..B, got {args.seeds!r}")
-        try:
-            lo, hi = int(lo), int(hi)
-        except ValueError:  # beyond int()'s digit limit
-            raise ConfigError("--seeds has an endpoint too long to read") from None
-        if hi < lo:
-            raise ConfigError(f"--seeds range is empty: {args.seeds}")
-        return range(lo, hi + 1)
-    return range(seed, seed + 1)
+def _seeds(text: str, ranges: bool = False) -> range:
+    """The seeds a ``--seed`` names: one seed S or, with ``ranges``, an
+    inclusive range A..B. Each is ASCII digits with a value below 2**64."""
+    ends = text.split("..", 1) if ranges else [text]
+    if not all(e.isascii() and e.isdigit() for e in ends):
+        form = "a seed S or a range A..B" if ranges else "one seed S"
+        raise ConfigError(f"--seed wants {form} of digits 0-9, got {text!r}")
+    # a longer end is past the limit, and int() may refuse to read it
+    if any(len(e) > 20 or int(e) >= 2**64 for e in ends):
+        raise ConfigError(f"--seed must be at most {2**64 - 1}")
+    seeds = range(int(ends[0]), int(ends[-1]) + 1)
+    if not seeds:
+        raise ConfigError(f"--seed range is empty: {text}")
+    return seeds
 
 
 def _commit(directory: Path, files: dict) -> None:
@@ -189,11 +187,9 @@ def _train_one(cfg: TrainConfig, manifest_path: str, subject: str, layout,
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
+    seeds = range(cfg.seed, cfg.seed + 1) if args.seed is None else _seeds(args.seed, ranges=True)
     manifest = Manifest.load(args.manifest)
     _require_subject(manifest, args.subject)
-    seeds = _parse_seeds(args, cfg.seed)
-    for seed in (seeds[0], seeds[-1]):  # the seed check is a range, so the ends cover it
-        cfg.replace(seed=seed)
     layout = manifest.layout_for(args.subject)
     train_batch, _ = load_split_segments(manifest, args.subject, "train")
     code = 0
@@ -247,15 +243,16 @@ def cmd_predict(args) -> int:
 
 def cmd_synth(args) -> int:
     manifest = generate_synthetic(args.out, train_clips=args.clips, test_clips=args.test_clips,
-                                  minutes=args.minutes, seed=args.seed)
+                                  minutes=args.minutes, seed=_seeds(args.seed)[0])
     print(Path(args.out) / "manifest.json")
     print(f"{len(manifest.clips)} clips for {len(manifest.subjects())} subject(s)")
     return 0
 
 
 def cmd_split(args) -> int:
+    seed = _seeds(args.seed)[0]
     manifest = Manifest.load(args.manifest)
-    train_m, val_m = split_train_validation(manifest, args.fraction, args.seed)
+    train_m, val_m = split_train_validation(manifest, args.fraction, seed)
     out = Path(args.out)
     _commit(out, {"train_manifest.json": train_m.save,
                   "validation_manifest.json": val_m.save})
@@ -358,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clips", type=int, default=80, help="train clips per class")
     p.add_argument("--test-clips", type=int, default=20, help="test clips per class")
     p.add_argument("--minutes", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("preprocess", help="cache 200 Hz, normalized clips")
@@ -370,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--fraction", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0")
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("train", help="train one subject/topology over seeds")
@@ -380,9 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subject", required=True)
     p.add_argument("--topology", choices=TOPOLOGIES)
     p.add_argument("--epochs", type=int, help="override the configured epoch count")
-    p.add_argument("--seed", type=int,
-                   help="override the config file's seed (default: that seed, else 0)")
-    p.add_argument("--seeds", help="inclusive range A..B, one run per seed")
+    p.add_argument("--seed", help="one seed S, or an inclusive range A..B with one run "
+                   "per seed (default: the config file's seed, else 0)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 

@@ -541,14 +541,14 @@ def generate_synthetic(out_dir, train_clips: int = 80, test_clips: int = 20,
         raise ConfigError(f"need at least one training clip per class, got {train_clips}")
     if test_clips < 0:
         raise ConfigError(f"test clips per class cannot be negative, got {test_clips}")
+    subject = "synth01"
+    srng = seeded_rng(seed).split("synthetic").split(subject)  # a bad seed fails before any write
     root = Path(out_dir)
     (root / "clips").mkdir(parents=True, exist_ok=True)
     (root / "layouts").mkdir(parents=True, exist_ok=True)
     n_samples = int(minutes * 60 * INGEST_RATE_HZ)
-    subject = "synth01"
     layout_rel = f"layouts/{subject}.json"
     ElectrodeLayout.default().save(root / layout_rel)
-    srng = seeded_rng(seed).split("synthetic").split(subject)
     records: list[ClipRecord] = []
     for split, per_class in (("train", train_clips), ("test", test_clips)):
         for label in ("interictal", "preictal"):

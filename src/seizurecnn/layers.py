@@ -204,14 +204,12 @@ class Conv(Layer):
                    every + tuple(slice(max(0, k), max(0, s + k)) for k, s in shifts))
 
     def _columns(self, x: Tensor):
-        """Each segment's columns in batch order, all in one scratch."""
-        cols = np.empty((1, self.maps_in, self._taps) + x.shape[2:], dtype=x.dtype)
-        # zero, on every tap at once, the padding cells, which no segment writes
-        for i, (lo, hi) in enumerate(self._pads):
-            side = np.moveaxis(cols, 3 + i, 0)
-            side[:lo] = side[max(0, len(side) - hi):] = 0
+        """Each segment's columns in batch order, all in one scratch whose
+        padding cells, which no segment writes, stay zero."""
+        cols = np.zeros((1, self.maps_in, self._taps) + x.shape[2:], dtype=x.dtype)
+        taps = list(self._taps_at(x.shape[2:]))
         for b in range(x.shape[0]):
-            for t, (out, src) in enumerate(self._taps_at(x.shape[2:])):
+            for t, (out, src) in enumerate(taps):
                 cols[:, :, t][out] = x[b:b + 1][src]
             yield cols.reshape(self.maps_in * self._taps, -1)
 
@@ -240,13 +238,14 @@ class Conv(Layer):
         term = np.empty_like(g_kernel)
         d_cols = np.empty((1, self.maps_in, self._taps) + x.shape[2:], dtype=x.dtype)
         dx = np.zeros(x.shape, dtype=x.dtype)
+        taps = list(self._taps_at(x.shape[2:]))
         for b, cols in enumerate(self._columns(x)):
             # start from the first term: zero plus it would turn -0.0 into +0.0
             np.matmul(up[b], cols.T, out=g_kernel if b == 0 else term)
             if b:
                 g_kernel += term
             np.matmul(kernel_t, up[b], out=d_cols.reshape(cols.shape))
-            for t, (out, src) in enumerate(self._taps_at(x.shape[2:])):
+            for t, (out, src) in enumerate(taps):
                 dx[b:b + 1][src] += d_cols[:, :, t][out]
         self.g_kernel = g_kernel.reshape(self.kernel.shape)
         return dx

@@ -82,6 +82,18 @@ class TestSynth:
         assert cli.main(["synth", "--out", str(tmp_path / "d"), flag, count]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "0..1"])
+    @pytest.mark.parametrize("command", [
+        ["synth", "--clips", "1", "--test-clips", "0"],
+        ["split", "--manifest", "manifest.json"],  # read after the seed, and missing
+    ], ids=["synth", "split"])
+    def test_bad_single_seed(self, command, seed, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(command + ["--out", "d", "--seed", seed]) == 2
+        assert list(tmp_path.iterdir()) == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --seed ")
+
 
 class TestTrain:
     def test_run_directory_contents(self, run_dir):
@@ -130,7 +142,7 @@ class TestTrain:
     def test_seed_range_trains_each(self, dataset_dir, tmp_path, capsys):
         code = cli.main(["train", "--manifest", str(dataset_dir / "manifest.json"),
                          "--subject", "synth01", "--epochs", "1",
-                         "--seeds", "1..2", "--out", str(tmp_path)])
+                         "--seed", "1..2", "--out", str(tmp_path)])
         assert code == 0
         printed = capsys.readouterr().out.splitlines()
         assert len(printed) == 2
@@ -149,7 +161,7 @@ class TestTrain:
         monkeypatch.setattr(cli, "fit", diverge_on_seed_one)
         code = cli.main(["train", "--manifest", str(dataset_dir / "manifest.json"),
                          "--subject", "synth01", "--epochs", "1",
-                         "--seeds", "0..2", "--out", str(tmp_path)])
+                         "--seed", "0..2", "--out", str(tmp_path)])
         assert code == 1
         finished = ["synth01_nv1x16_s0000", "synth01_nv1x16_s0002"]
         captured = capsys.readouterr()
@@ -159,23 +171,35 @@ class TestTrain:
         for name in finished:
             assert (tmp_path / name / "run.json").exists()
 
-    @pytest.mark.parametrize("seeds", ["3", "5..2", "a..b", "..", "²..3"])
-    def test_bad_seed_ranges(self, dataset_dir, tmp_path, seeds):
-        code = cli.main(["train", "--manifest", str(dataset_dir / "manifest.json"),
+    @pytest.mark.parametrize("seeds", ["3..", "5..2", "a..b", "..", "²..3", "-1", "+3", "1_0",
+                                       "٣", ""])
+    def test_bad_seed_ranges(self, tmp_path, capsys, seeds):
+        # the flag is read before the manifest, which does not exist here
+        code = cli.main(["train", "--manifest", str(tmp_path / "manifest.json"),
                          "--subject", "synth01", "--epochs", "1",
-                         "--seeds", seeds, "--out", str(tmp_path)])
-        assert code == 2
-
-    @pytest.mark.parametrize("seeds", ["0..18446744073709551616", "0.." + "9" * 5000],
-                             ids=["past-2**64", "5000-digits"])
-    def test_seed_range_past_the_seed_limit(self, dataset_dir, tmp_path, capsys, seeds):
-        code = cli.main(["train", "--manifest", str(dataset_dir / "manifest.json"),
-                         "--subject", "synth01", "--epochs", "1",
-                         "--seeds", seeds, "--out", str(tmp_path)])
+                         "--seed", seeds, "--out", str(tmp_path / "runs")])
         assert code == 2
         assert list(tmp_path.iterdir()) == []
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
+        assert len(err) == 1 and err[0].startswith("error: --seed ")
+
+    @pytest.mark.parametrize("seeds", ["0..18446744073709551616", "0.." + "9" * 5000],
+                             ids=["past-2**64", "5000-digits"])
+    def test_seed_range_past_the_seed_limit(self, tmp_path, capsys, seeds):
+        code = cli.main(["train", "--manifest", str(tmp_path / "manifest.json"),
+                         "--subject", "synth01", "--epochs", "1",
+                         "--seed", seeds, "--out", str(tmp_path / "runs")])
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --seed ")
+
+    def test_seeds_flag_is_gone(self, dataset_dir, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--manifest", str(dataset_dir / "manifest.json"),
+                      "--subject", "synth01", "--seeds", "0..1", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_config_file_with_unknown_key(self, dataset_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -241,6 +265,17 @@ class TestTrain:
             str(tmp_path / "runs" / "synth01_nv1x16_s0002")]
         run = json.loads((tmp_path / "runs" / "synth01_nv1x16_s0005" / "run.json").read_text())
         assert run["seed"] == 5
+
+    def test_flag_does_not_hide_a_bad_config_seed(self, dataset_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1, "epochs": 1}))
+        assert cli.main(["train", "--config", str(cfg),
+                         "--manifest", str(dataset_dir / "manifest.json"),
+                         "--subject", "synth01", "--seed", "3",
+                         "--out", str(tmp_path / "runs")]) == 2
+        assert capsys.readouterr().err == (
+            "error: seed must be an unsigned 64-bit integer, got -1\n")
+        assert not (tmp_path / "runs").exists()
 
     def trained_and_evaluated(self, dataset_dir, out):
         assert cli.main(["train", "--manifest", str(dataset_dir / "manifest.json"),
@@ -318,7 +353,7 @@ class TestTrain:
         monkeypatch.setattr(cli, "load_split_segments", counted)
         assert cli.main(["train", "--manifest", str(dataset_dir / "manifest.json"),
                          "--subject", "synth01", "--epochs", "1",
-                         "--seeds", "0..2", "--out", str(tmp_path)]) == 0
+                         "--seed", "0..2", "--out", str(tmp_path)]) == 0
         assert len(calls) == 1
 
     def test_concurrent_processes_match_one(self, dataset_dir, tmp_path):
@@ -326,7 +361,7 @@ class TestTrain:
         one, two = tmp_path / "one", tmp_path / "two"
         args = ["train", "--manifest", str(dataset_dir / "manifest.json"),
                 "--subject", "synth01", "--epochs", "1"]
-        assert cli.main(args + ["--seeds", "4..5", "--out", str(one)]) == 0
+        assert cli.main(args + ["--seed", "4..5", "--out", str(one)]) == 0
         src = str(Path(cli.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -705,7 +740,7 @@ class TestNonFiniteSamples:
     def test_train(self, poisoned_dir, tmp_path, capsys):
         # the data error stops a seed range once, before its first seed
         code = cli.main(["train", "--manifest", str(poisoned_dir / "manifest.json"),
-                         "--subject", "synth01", "--epochs", "1", "--seeds", "0..2",
+                         "--subject", "synth01", "--epochs", "1", "--seed", "0..2",
                          "--out", str(tmp_path)])
         assert code == 3
         assert list(tmp_path.iterdir()) == []
@@ -716,7 +751,7 @@ class TestNonFiniteSamples:
         # all 2**64 seeds: the range is walked, never built, so the data error comes first
         code = cli.main(["train", "--manifest", str(poisoned_dir / "manifest.json"),
                          "--subject", "synth01", "--epochs", "1",
-                         "--seeds", "0..18446744073709551615", "--out", str(tmp_path)])
+                         "--seed", "0..18446744073709551615", "--out", str(tmp_path)])
         assert code == 3
         assert list(tmp_path.iterdir()) == []
         assert "NaN or infinite sample" in capsys.readouterr().err

@@ -696,6 +696,9 @@ class TestSyntheticData:
             generate_synthetic(tmp_path, minutes=1.5)
         with pytest.raises(ConfigError):
             generate_synthetic(tmp_path, train_clips=0)
+        with pytest.raises(ValueError, match="seed"):
+            generate_synthetic(tmp_path, seed=-1)
+        assert list(tmp_path.iterdir()) == []
 
     def test_bandpower_separates_classes(self, tmp_path):
         manifest = generate_synthetic(tmp_path, train_clips=6, test_clips=0, seed=3)
