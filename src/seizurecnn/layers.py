@@ -26,12 +26,18 @@ Backward may consume its cache in place: BatchNorm forms the input
 gradient in ``xhat``.
 A stack computes in one dtype, the one ``Network`` casts its input to.
 
-``Network.forward`` runs each ``Conv -> BatchNorm -> MaxPool -> ReLU`` run
-of its layer list through ``_conv_block``, in both modes; the four layers'
-own ``forward`` methods stay the reference it matches bit for bit.  In
-TRAIN it is ``Conv.forward`` then ``_train_block``, which works over the
-conv output in place, one segment at a time; BatchNorm's ``xhat`` then
-lives in the conv output's buffer.
+``Network`` finds each ``Conv -> BatchNorm -> MaxPool -> ReLU`` run of its
+layer list once.  ``forward`` runs it through ``_conv_block``, in both
+modes, and ``backward`` through ``_block_backward``; the four layers' own
+``forward`` and ``backward`` methods stay the reference they match bit for
+bit.  In TRAIN the forward is ``Conv.forward`` then ``_train_block``, which
+works over the conv output in place, one segment at a time; BatchNorm's
+``xhat`` then lives in the conv output's buffer.  The backward works one
+segment at a time in two passes: the first scatters the pooled gradient
+to its argmax cells of one scratch for BatchNorm's parameter gradients,
+the second scatters it again, forms BatchNorm's input gradient in that
+segment's ``xhat`` and runs Conv's backward on it.  So no pool or
+BatchNorm input gradient exists at full resolution.
 
 In INFER the block pools before anything else: per segment, the columns,
 the GEMM without bias into one scratch, and the running maximum of that
@@ -65,6 +71,8 @@ dropout stream.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -140,19 +148,21 @@ class Layer:
         self._cache = (out.shape, cache) if mode == TRAIN else None
         return out
 
-    def _kept(self, upstream: Tensor) -> tuple:
-        """What the last TRAIN forward kept, once ``upstream`` matches its
-        output; the layer lets go of it, so a second backward raises."""
+    def _kept(self, upstream) -> tuple:
+        """What the last TRAIN forward kept, once ``upstream``, the upstream
+        gradient or its shape, matches its output; the layer lets go of it,
+        so a second backward raises."""
         self._check_upstream(upstream, None if self._cache is None else self._cache[0])
         cache, self._cache = self._cache[1], None
         return cache
 
-    def _check_upstream(self, upstream: Tensor, expected_shape) -> None:
+    def _check_upstream(self, upstream, expected_shape) -> None:
         if expected_shape is None:
             raise RuntimeError(f"{self.name}: backward requires a recorded train-mode forward")
-        if tuple(upstream.shape) != tuple(expected_shape):
+        shape = tuple(getattr(upstream, "shape", upstream))
+        if shape != tuple(expected_shape):
             raise ValueError(
-                f"{self.name}: upstream shape {upstream.shape} does not match "
+                f"{self.name}: upstream shape {shape} does not match "
                 f"forward output {tuple(expected_shape)}"
             )
 
@@ -231,22 +241,29 @@ class Conv(Layer):
 
     def backward(self, upstream: Tensor) -> Tensor:
         x, = self._kept(upstream)
-        up = upstream.reshape(upstream.shape[0], self.maps_out, -1)
-        self.g_bias = up.sum(axis=2).sum(axis=0)
+        return self._backward(x, upstream.reshape(upstream.shape[0], self.maps_out, -1))
+
+    def _backward(self, x: Tensor, ups) -> Tensor:
+        """The backward over the cached input ``x``, given each segment's
+        upstream gradient as (maps_out, cells), in batch order: sets the
+        parameter gradients and returns the input gradient."""
         kernel_t = self.kernel.reshape(self.maps_out, -1).T
         g_kernel = np.zeros(kernel_t.shape[::-1], dtype=x.dtype)  # an empty batch's sum
         term = np.empty_like(g_kernel)
+        g_bias = np.empty((x.shape[0], self.maps_out), dtype=x.dtype)
         d_cols = np.empty((1, self.maps_in, self._taps) + x.shape[2:], dtype=x.dtype)
         dx = np.zeros(x.shape, dtype=x.dtype)
         taps = list(self._taps_at(x.shape[2:]))
-        for b, cols in enumerate(self._columns(x)):
+        for b, (cols, up) in enumerate(zip(self._columns(x), ups)):
+            g_bias[b] = up.sum(axis=1)
             # start from the first term: zero plus it would turn -0.0 into +0.0
-            np.matmul(up[b], cols.T, out=g_kernel if b == 0 else term)
+            np.matmul(up, cols.T, out=g_kernel if b == 0 else term)
             if b:
                 g_kernel += term
-            np.matmul(kernel_t, up[b], out=d_cols.reshape(cols.shape))
+            np.matmul(kernel_t, up, out=d_cols.reshape(cols.shape))
             for t, (out, src) in enumerate(taps):
                 dx[b:b + 1][src] += d_cols[:, :, t][out]
+        self.g_bias = g_bias.sum(axis=0)
         self.g_kernel = g_kernel.reshape(self.kernel.shape)
         return dx
 
@@ -305,19 +322,27 @@ class MaxPool(Layer):
         self._pool(views, out, argmax)
         return self._keep(mode, out, argmax, x.shape)
 
-    def backward(self, upstream: Tensor) -> Tensor:
-        argmax, in_shape = self._kept(upstream)
+    def _cells(self, argmax: Tensor, in_shape):
+        """Per segment, in batch order, the flat index in the segment of each
+        window's argmax cell: int32 unless a segment has 2**31 cells."""
         seg = in_shape[1:]
-        # flat in one segment: each window's first cell, and each offset from it
+        index = np.int32 if math.prod(seg) < 2**31 else np.intp
+        # each window's first cell, and each offset from it
         first = np.ravel_multi_index(np.ix_(*(
-            np.arange(0, s, w) for s, w in zip(seg, (1,) + self.window))), seg)
+            np.arange(0, s, w) for s, w in zip(seg, (1,) + self.window))), seg).astype(index)
         offset = np.ravel_multi_index(
-            (0,) + tuple(np.indices(self.window).reshape(len(self.window), -1)), seg)
-        dx = np.zeros(in_shape, dtype=upstream.dtype)
+            (0,) + tuple(np.indices(self.window).reshape(len(self.window), -1)),
+            seg).astype(index)
         for b in range(in_shape[0]):
             cell = offset[argmax[b]]
             cell += first
-            dx[b].reshape(-1)[cell.reshape(-1)] = upstream[b].reshape(-1)
+            yield cell.reshape(-1)
+
+    def backward(self, upstream: Tensor) -> Tensor:
+        argmax, in_shape = self._kept(upstream)
+        dx = np.zeros(in_shape, dtype=upstream.dtype)
+        for b, cell in enumerate(self._cells(argmax, in_shape)):
+            dx[b].reshape(-1)[cell] = upstream[b].reshape(-1)
         return dx
 
 
@@ -394,16 +419,20 @@ class BatchNorm(Layer):
     def backward(self, upstream: Tensor) -> Tensor:
         xhat, inv_std = self._kept(upstream)
         up = upstream.reshape(xhat.shape)
-        count = xhat.shape[0] * xhat.shape[2]
         self.g_gamma = _rowdot(up, xhat).sum(axis=0)
         self.g_beta = up.sum(axis=2).sum(axis=0)
-        # dx = gamma * inv_std * (up - g_beta / count - xhat * g_gamma / count)
-        dx = xhat  # formed in the cache, which is let go of anyway
-        dx *= (-self.g_gamma / count)[:, None]
-        dx += up
-        dx -= (self.g_beta / count)[:, None]
-        dx *= (self.gamma * inv_std)[:, None]
-        return dx.reshape(upstream.shape)
+        # formed in the cache, which is let go of anyway
+        return self._input_grad(xhat, inv_std, up, xhat.shape[0] * xhat.shape[2]).reshape(
+            upstream.shape)
+
+    def _input_grad(self, xhat: Tensor, inv_std: Tensor, up: Tensor, count: int) -> Tensor:
+        """dx = gamma * inv_std * (up - g_beta / count - xhat * g_gamma / count)
+        over (..., maps, cells), formed in ``xhat``."""
+        xhat *= (-self.g_gamma / count)[:, None]
+        xhat += up
+        xhat -= (self.g_beta / count)[:, None]
+        xhat *= (self.gamma * inv_std)[:, None]
+        return xhat
 
 
 def _train_block(x: Tensor, bn: BatchNorm, pool: MaxPool, relu: ReLU) -> Tensor:
@@ -455,6 +484,45 @@ def _conv_block(x: Tensor, mode: str, conv: Conv, bn: BatchNorm, pool: MaxPool,
     pooled += shift[:, None]
     conv._cache = bn._cache = pool._cache = None  # as an INFER forward of each
     return relu.forward(out, mode)
+
+
+def _block_backward(up: Tensor, conv: Conv, bn: BatchNorm, pool: MaxPool, relu: ReLU) -> Tensor:
+    """The backward of ``conv -> bn -> pool -> relu`` after a TRAIN
+    ``_conv_block``: the bits of the four backwards, but neither the pool's
+    nor BatchNorm's input gradient ever exists at full resolution.
+
+    Pass 1 scatters each segment's pooled gradient to its argmax cells of
+    one zeroed scratch, for BatchNorm's parameter gradients, and keeps the
+    cells.  Pass 2 scatters it again, forms BatchNorm's input gradient in
+    the segment's ``xhat`` and hands it to Conv's backward while it is in
+    cache."""
+    up = relu.backward(up)
+    argmax, in_shape = pool._kept(up)
+    xhat, inv_std = bn._kept(in_shape)
+    x, = conv._kept(in_shape)
+    scratch = np.empty(xhat.shape[1:], dtype=up.dtype)
+    flat = scratch.reshape(-1)
+    g_gamma = np.empty(xhat.shape[:2], dtype=up.dtype)
+    g_beta = np.empty_like(g_gamma)
+    cells = []
+    for b, cell in enumerate(pool._cells(argmax, in_shape)):
+        scratch.fill(0)
+        flat[cell] = up[b].reshape(-1)
+        g_gamma[b] = _rowdot(scratch, xhat[b])
+        g_beta[b] = scratch.sum(axis=1)
+        cells.append(cell)
+    # BatchNorm.backward's reductions, in its order
+    bn.g_gamma = g_gamma.sum(axis=0)
+    bn.g_beta = g_beta.sum(axis=0)
+    count = xhat.shape[0] * xhat.shape[2]
+
+    def segments():
+        for b, cell in enumerate(cells):
+            scratch.fill(0)
+            flat[cell] = up[b].reshape(-1)
+            yield bn._input_grad(xhat[b], inv_std, scratch, count)
+
+    return conv._backward(x, segments())
 
 
 class Dropout(Layer):
@@ -559,6 +627,16 @@ class Network:
         self.layers = list(layers)
         self.input_grid = tuple(input_grid) if input_grid is not None else None
         self.dtype = dtype
+        # each Conv -> BatchNorm -> MaxPool -> ReLU run is one block step,
+        # any other layer a step of its own
+        self._steps = []
+        i = 0
+        while i < len(self.layers):
+            step = tuple(self.layers[i:i + 4])
+            if tuple(map(type, step)) != (Conv, BatchNorm, MaxPool, ReLU):
+                step = step[:1]
+            self._steps.append(step)
+            i += len(step)
 
     def forward(self, x: Tensor, mode: str = TRAIN, rng: RngStream | None = None) -> Tensor:
         x = np.asarray(x, dtype=self.dtype)
@@ -568,22 +646,14 @@ class Network:
                     f"expected input shape (batch, {', '.join(map(str, self.input_grid))}), "
                     f"got {x.shape}")
             x = x.reshape((x.shape[0], 1) + self.input_grid)
-        layers = self.layers
-        i = 0
-        while i < len(layers):
-            block = layers[i:i + 4]
-            if [type(layer) for layer in block] == [Conv, BatchNorm, MaxPool, ReLU]:
-                x = _conv_block(x, mode, *block)
-            else:
-                block = block[:1]
-                x = block[0].forward(x, mode, rng)
-            i += len(block)
+        for step in self._steps:
+            x = _conv_block(x, mode, *step) if len(step) > 1 else step[0].forward(x, mode, rng)
         return x
 
     def backward(self, upstream: Tensor) -> Tensor:
         up = np.asarray(upstream, dtype=self.dtype)
-        for layer in reversed(self.layers):
-            up = layer.backward(up)
+        for step in reversed(self._steps):
+            up = _block_backward(up, *step) if len(step) > 1 else step[0].backward(up)
         if self.input_grid is not None:
             up = up.reshape((up.shape[0],) + self.input_grid)
         return up

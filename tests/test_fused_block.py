@@ -8,6 +8,11 @@ gradients and parameters of a whole training step. In INFER it pools the
 raw GEMM output of each segment before the bias, BatchNorm's affine and
 the ReLU; its output must have the layers' bits too, also where gamma is
 negative, zero or minus zero.
+
+``Network.backward`` runs each block's backward one segment at a time,
+so neither the pool's nor BatchNorm's input gradient exists at full
+resolution; its gradients must have the bits of the four layer backwards,
+also over tied pool windows and signed zeros.
 """
 
 import numpy as np
@@ -20,12 +25,13 @@ from seizurecnn.layers import (INFER, TRAIN, BatchNorm, Conv, Dense, Flatten, Ma
 from seizurecnn.tensor import seeded_rng
 from seizurecnn.topologies import (TOPOLOGIES, ElectrodeLayout, _block_geometry,
                                    build_topology, input_grid)
+from test_conv_columns import SLACK, traced_peak
 
 DTYPES = (np.float32, np.float64)
 
 
 class LayerByLayer(Network):
-    """A Network whose forward calls each layer's own forward."""
+    """A Network whose forward and backward call each layer's own."""
 
     def forward(self, x, mode=TRAIN, rng=None):
         x = np.asarray(x, dtype=self.dtype)
@@ -34,6 +40,14 @@ class LayerByLayer(Network):
         for layer in self.layers:
             x = layer.forward(x, mode, rng)
         return x
+
+    def backward(self, upstream):
+        up = np.asarray(upstream, dtype=self.dtype)
+        for layer in reversed(self.layers):
+            up = layer.backward(up)
+        if self.input_grid is not None:
+            up = up.reshape((up.shape[0],) + self.input_grid)
+        return up
 
 
 def assert_same_bits(a, b, what):
@@ -75,7 +89,7 @@ def signed_zero_batchnorm(layers):
             layer.running_mean[1::3] = -0.0
 
 
-def block_networks(topology, block, dtype):
+def block_networks(topology, block, dtype, batch=3):
     """Two identical networks of one topology block, its input shape."""
     geometry = _block_geometry(topology)
     kernel, pool, maps = geometry[block]
@@ -92,7 +106,7 @@ def block_networks(topology, block, dtype):
                   ReLU(name="act")]
         randomize_batchnorm(layers, seeded_rng(100 + block))
         nets.append(cls(layers, dtype=dtype))
-    return nets, (3, maps_in) + tuple(int(s) for s in spatial)
+    return nets, (batch, maps_in) + tuple(int(s) for s in spatial)
 
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
@@ -112,6 +126,73 @@ def test_block_forward_matches_layers(topology, block, dtype):
     assert_same_bits(fused.backward(up), reference.backward(up), "input gradient")
     for key, grad in fused.grads().items():
         assert_same_bits(grad, reference.grads()[key], key)
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
+@pytest.mark.parametrize("block", range(6))
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_block_backward_matches_layers(topology, block, dtype):
+    (fused, reference), shape = block_networks(topology, block, dtype)
+    for net in (fused, reference):
+        signed_zero_batchnorm(net.layers)
+        net.layers[0].kernel[-1] = 0  # a constant conv output map: every window ties
+    assert np.signbit(fused.layers[1].gamma[1]) and fused.layers[1].gamma[1] == 0
+    x = seeded_rng(7).normal(size=shape).astype(dtype)
+    up = seeded_rng(8).normal(size=fused.forward(x, TRAIN).shape).astype(dtype)
+    up.reshape(-1)[::5] = -0.0
+    up[:, 1] = -0.0  # a map whose every upstream cell is -0.0
+    # then an upstream of -0.0 only, so every gradient is a sum of signed zeros
+    for upstream in (up, np.full_like(up, -0.0)):
+        for net in (fused, reference):
+            net.forward(x, TRAIN)
+        assert_same_bits(fused.backward(upstream), reference.backward(upstream),
+                         "input gradient")
+        for key, grad in fused.grads().items():
+            assert_same_bits(grad, reference.grads()[key], key)
+    for layer in fused.layers:
+        assert layer._cache is None, layer.name
+    with pytest.raises(RuntimeError):
+        fused.backward(up)
+
+
+def test_block_backward_checks_the_upstream_shape():
+    (fused, _), shape = block_networks("nv4x4", 1, np.float32)
+    out = fused.forward(seeded_rng(9).normal(size=shape).astype(np.float32), TRAIN)
+    with pytest.raises(ValueError, match="upstream shape"):
+        fused.backward(np.ones(out.shape[:-1] + (out.shape[-1] + 1,), np.float32))
+
+
+def test_block_backward_skips_the_layer_backwards(monkeypatch):
+    fused, _ = topology_networks("nv2x2x4")
+    calls = []
+    for cls in (Conv, BatchNorm, MaxPool):
+        original = cls.backward
+        monkeypatch.setattr(cls, "backward", lambda self, *a, _f=original, **k: (
+            calls.append(self.name), _f(self, *a, **k))[1])
+    x = seeded_rng(10).normal(size=(3,) + input_grid("nv2x2x4")).astype(np.float32)
+    out = fused.forward(x, TRAIN, seeded_rng(11))
+    fused.backward(np.ones_like(out))
+    assert calls == ["bn_in"]  # the standalone BatchNorm runs its own backward
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_block_backward_holds_no_full_resolution_gradient(topology):
+    batch = 8
+    (fused, _), shape = block_networks(topology, 0, np.float32, batch)
+    conv = fused.layers[0]
+    out = fused.forward(seeded_rng(12).normal(size=shape).astype(np.float32), TRAIN)
+    up = seeded_rng(13).normal(size=out.shape).astype(np.float32)
+    dx, peak = traced_peak(lambda: fused.backward(up))
+    cells = int(np.prod(shape[2:]))
+    segment = conv.maps_out * cells * 4  # BatchNorm's input gradient of one segment
+    columns = conv.maps_in * conv._taps * cells * 4
+    pooled = out.size // batch
+    # the ReLU's pooled gradient, every segment's int32 argmax cells, and
+    # numpy's intp copies of one segment's indices while they index
+    pooled_arrays = up.nbytes + batch * pooled * 4 + 2 * pooled * np.dtype(np.intp).itemsize
+    assert peak <= dx.nbytes + segment + 2 * columns + pooled_arrays + SLACK
+    # the pool's input gradient at full resolution alone would be the batch's segments
+    assert peak < batch * segment
 
 
 def topology_networks(topology):
