@@ -8,12 +8,14 @@ files, layout mismatches); anything else that goes wrong exits 1.
 A training run writes a self-describing directory
 ``{subject}_{topology}_s{seed:04d}/`` holding parameters.npz,
 history.csv and run.json; evaluate adds roc.csv and report.json beside
-them. run.json records the resolved config, the data manifest path, the
-layout content hash and the toolkit and RNG identifiers, so a run can be
-re-evaluated long after the fact and a stale layout is caught instead of
+them. run.json records the five training settings, one per ``train``
+flag, the data manifest's absolute path, the layout content hash and the
+toolkit and RNG identifiers, so a run can be re-evaluated long after the
+fact and from any directory, and a stale layout is caught instead of
 silently mis-gridding channels. Every command but synth writes its files
 through ``_commit``, so a failed command leaves its earlier output as it
-was and a reader never finds new files beside stale ones.
+was and a reader never finds new files beside stale ones; a failed write
+is one ``error:`` line and exit code 1.
 
 ``train --seed A..B`` preprocesses the training split once and then
 trains one seed after another in this process. Every seed runs even when
@@ -95,21 +97,6 @@ class RunManifest:
         return run
 
 
-def _load_config(args) -> TrainConfig:
-    """Config file plus flag overrides, validated fail-closed."""
-    keys: dict = {}
-    if args.config:
-        obj = load_json(args.config, "config", ConfigError)
-        if not isinstance(obj, dict):
-            raise ConfigError(f"config {args.config} must be a JSON mapping")
-        keys.update(obj)
-    if args.topology:
-        keys["topology"] = args.topology
-    if args.epochs is not None:
-        keys["epochs"] = args.epochs
-    return TrainConfig.from_mapping(keys)
-
-
 def _require_subject(manifest: Manifest, subject: str) -> None:
     if subject not in manifest.subjects():
         raise DataError(f"unknown subject {subject!r}; manifest has {manifest.subjects()}")
@@ -137,7 +124,10 @@ def _commit(directory: Path, files: dict) -> None:
     Each writer stages a hidden ``.<name>.tmp`` beside its target. Once all
     have returned, the last name is deleted and each file moved into place
     or deleted in order, so a reader that finds the last file finds the set
-    written with it. If a writer raises, ``directory`` is left as it was."""
+    written with it. If a writer raises, ``directory`` is left as it was;
+    an OSError becomes a SeizureCnnError. Each staged file is synced to
+    disk before the first move and each changed directory after the last,
+    so a power loss cannot leave the last file beside a short one."""
     targets = {Path(directory) / rel: write for rel, write in files.items()}
     staged = {t: t.with_name(f".{t.name}.tmp") for t, w in targets.items() if w is not None}
     made: list[Path] = []
@@ -149,19 +139,34 @@ def _commit(directory: Path, files: dict) -> None:
                         d.mkdir()
                         made.append(d)
             targets[target](tmp)
+            _fsync(tmp)
         list(targets)[-1].unlink(missing_ok=True)
         for target in targets:
             if target in staged:
                 os.replace(staged[target], target)
             else:
                 target.unlink(missing_ok=True)
-    except BaseException:
+        for folder in dict.fromkeys([t.parent for t in targets] + [d.parent for d in made]):
+            _fsync(folder)
+    except BaseException as exc:
         for tmp in staged.values():
-            tmp.unlink(missing_ok=True)
+            with contextlib.suppress(OSError):  # its folder may be what could not be made
+                tmp.unlink(missing_ok=True)
         for d in reversed(made):
             with contextlib.suppress(OSError):  # another train process wrote into it
                 d.rmdir()
+        if isinstance(exc, OSError):
+            raise SeizureCnnError(f"cannot write {directory}: {exc}") from exc
         raise
+
+
+def _fsync(path: Path) -> None:
+    """Flush a file's data, or a directory's entries, to disk."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _train_one(cfg: TrainConfig, manifest_path: str, subject: str, layout,
@@ -174,7 +179,7 @@ def _train_one(cfg: TrainConfig, manifest_path: str, subject: str, layout,
     run_dir = Path(out) / f"{subject}_{cfg.topology}_s{cfg.seed:04d}"
     run = RunManifest(
         subject=subject, topology=cfg.topology, seed=cfg.seed,
-        config=cfg.to_mapping(), data_manifest=str(manifest_path),
+        config=cfg.to_mapping(), data_manifest=os.path.abspath(manifest_path),
         layout_sha256=layout.content_hash() if layout is not None else None,
         artifacts={"parameters": PARAMS_FILE, "history": HISTORY_FILE,
                    "report": REPORT_FILE, "roc": ROC_FILE})
@@ -186,8 +191,9 @@ def _train_one(cfg: TrainConfig, manifest_path: str, subject: str, layout,
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args)
-    seeds = range(cfg.seed, cfg.seed + 1) if args.seed is None else _seeds(args.seed, ranges=True)
+    cfg = TrainConfig(topology=args.topology, epochs=args.epochs, batch_size=args.batch_size,
+                      learning_rate=args.learning_rate).validate()
+    seeds = _seeds(args.seed, ranges=True)
     manifest = Manifest.load(args.manifest)
     _require_subject(manifest, args.subject)
     layout = manifest.layout_for(args.subject)
@@ -198,7 +204,8 @@ def cmd_train(args) -> int:
             print(_train_one(cfg.replace(seed=seed), args.manifest, args.subject, layout,
                              train_batch, args.out))
         except SeizureCnnError as exc:
-            code = code or _error_exit(exc)
+            failed = _error_exit(exc)  # printed for every failed seed
+            code = code or failed
     return code
 
 
@@ -371,14 +378,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("train", help="train one subject/topology over seeds")
-    p.add_argument("--config", help="JSON mapping of any of the keys topology, seed, "
-                   "epochs, batch_size and learning_rate")
     p.add_argument("--manifest", required=True)
     p.add_argument("--subject", required=True)
-    p.add_argument("--topology", choices=TOPOLOGIES)
-    p.add_argument("--epochs", type=int, help="override the configured epoch count")
-    p.add_argument("--seed", help="one seed S, or an inclusive range A..B with one run "
-                   "per seed (default: the config file's seed, else 0)")
+    p.add_argument("--topology", choices=TOPOLOGIES, default=TrainConfig.topology)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs,
+                   help="passes over the training segments")
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--seed", default="0", help="one seed S, or an inclusive range A..B "
+                   "with one run per seed")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, TrainingDivergedError
 from .layers import TRAIN, Network
-from .tensor import RngStream, Tensor, check_fields
+from .tensor import RngStream, Tensor
 from .topologies import input_grid, reshape_batch
 
 BCE_CLAMP = 1e-7
@@ -57,20 +57,6 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be positive and finite, "
                               f"got {self.learning_rate}")
         return self
-
-    @classmethod
-    def from_mapping(cls, obj) -> "TrainConfig":
-        """Build from parsed config keys, each of its default's type (an
-        integer learning rate is stored as a float); unknown keys are errors."""
-        kinds = {f.name: type(f.default) for f in dataclasses.fields(cls)}
-        check_fields(obj, kinds, [], "config", ConfigError)
-        values = {}
-        for key, value in obj.items():
-            try:
-                values[key] = kinds[key](value)
-            except OverflowError:  # an integer too large for a float
-                raise ConfigError(f"config: {key} is too large for a float") from None
-        return cls(**values).validate()
 
     def to_mapping(self) -> dict:
         return dataclasses.asdict(self)

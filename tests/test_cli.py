@@ -1,6 +1,7 @@
 """End-to-end command tests driving cli.main with in-process argv."""
 
 import csv
+import dataclasses
 import json
 import os
 import shutil
@@ -25,6 +26,13 @@ def no_temporary_left(tmp_path_factory):
     """No command, finished or crashed, leaves a staged ``.*.tmp`` behind."""
     yield
     assert list(tmp_path_factory.getbasetemp().rglob(".*.tmp")) == []
+
+
+def _write_fails(argv, capsys, cause) -> None:
+    """``argv`` exits 1 with one error line: a failed write and its cause."""
+    assert cli.main(argv) == 1
+    err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+    assert len(err) == 1 and err[0].startswith("error: cannot write ") and cause in err[0], err
 
 
 @pytest.fixture(scope="module")
@@ -201,22 +209,58 @@ class TestTrain:
         assert exc.value.code == 2
         assert list(tmp_path.iterdir()) == []
 
-    def test_config_file_with_unknown_key(self, dataset_dir, tmp_path):
+    def test_config_flag_is_gone(self, dataset_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"epochs": 1, "weight_decay": 0.1}))
-        code = cli.main(["train", "--config", str(cfg),
-                         "--manifest", str(dataset_dir / "manifest.json"),
-                         "--subject", "synth01", "--out", str(tmp_path)])
+        cfg.write_text(json.dumps({"epochs": 1}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--config", str(cfg),
+                      "--manifest", str(dataset_dir / "manifest.json"),
+                      "--subject", "synth01", "--out", str(tmp_path / "runs")])
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_parser_defaults_are_the_config_defaults(self):
+        args = cli.build_parser().parse_args(["train", "--manifest", "m.json",
+                                              "--subject", "s", "--out", "o"])
+        defaults = training.TrainConfig()
+        assert cli._seeds(args.seed, ranges=True) == range(defaults.seed, defaults.seed + 1)
+        for field in dataclasses.fields(defaults):
+            if field.name != "seed":
+                assert getattr(args, field.name) == getattr(defaults, field.name)
+
+    def test_batch_size_and_learning_rate_flags(self, dataset_dir, tmp_path):
+        assert cli.main(["train", "--manifest", str(dataset_dir / "manifest.json"),
+                         "--subject", "synth01", "--epochs", "1", "--batch-size", "8",
+                         "--learning-rate", "0.002", "--out", str(tmp_path)]) == 0
+        run = json.loads((tmp_path / "synth01_nv1x16_s0000" / "run.json").read_text())
+        assert run["config"] == {"topology": "nv1x16", "seed": 0, "epochs": 1,
+                                 "batch_size": 8, "learning_rate": 0.002}
+
+    def test_integer_learning_rate_recorded_as_float(self, dataset_dir, tmp_path):
+        assert cli.main(["train", "--manifest", str(dataset_dir / "manifest.json"),
+                         "--subject", "synth01", "--epochs", "1", "--learning-rate", "1",
+                         "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "synth01_nv1x16_s0000" / "run.json").read_text()
+        assert '"learning_rate": 1.0' in text
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--batch-size", "1"), ("--learning-rate", "0"), ("--learning-rate", "nan"),
+        ("--learning-rate", "inf"), ("--learning-rate", "1e400")])
+    def test_bad_setting_writes_nothing(self, flag, value, tmp_path, capsys):
+        # the settings are checked before the manifest, which does not exist here
+        code = cli.main(["train", "--manifest", str(tmp_path / "manifest.json"),
+                         "--subject", "synth01", flag, value, "--out", str(tmp_path / "runs")])
         assert code == 2
+        assert list(tmp_path.iterdir()) == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     @pytest.mark.parametrize("rate, code", [
         ("1e39", 1), ("1e308", 1),  # the first ADAM update overflows float32
         ("1e400", 2), ("Infinity", 2), ("1" + "0" * 400, 2)])
     def test_learning_rate_that_cannot_train(self, rate, code, dataset_dir, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(f'{{"learning_rate": {rate}, "epochs": 1}}')
-        assert cli.main(["train", "--config", str(cfg),
+        assert cli.main(["train", "--learning-rate", rate, "--epochs", "1",
                          "--manifest", str(dataset_dir / "manifest.json"),
                          "--subject", "synth01", "--out", str(tmp_path / "runs")]) == code
         err = capsys.readouterr().err.splitlines()
@@ -230,51 +274,16 @@ class TestTrain:
 
     @pytest.mark.parametrize("key", ["beta1", "beta2", "adam_epsilon", "l1", "l2",
                                      "class_weighting"])
-    def test_config_file_with_fixed_setting(self, key, dataset_dir, tmp_path, capsys):
-        # the ADAM, penalty and class-weighting values are constants, not keys
+    def test_config_file_with_fixed_setting(self, key, dataset_dir, tmp_path):
+        # the ADAM, penalty and class-weighting values are constants: neither a
+        # config file nor a flag sets them
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: 0.9}))
-        code = cli.main(["train", "--config", str(cfg),
-                         "--manifest", str(dataset_dir / "manifest.json"),
-                         "--subject", "synth01", "--out", str(tmp_path / "runs")])
-        assert code == 2
-        assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
-        assert not (tmp_path / "runs").exists()
-
-    def test_flag_overrides_config_file(self, dataset_dir, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"epochs": 500, "batch_size": 8}))
-        code = cli.main(["train", "--config", str(cfg),
-                         "--manifest", str(dataset_dir / "manifest.json"),
-                         "--subject", "synth01", "--epochs", "1",
-                         "--out", str(tmp_path)])
-        assert code == 0
-        run = json.loads((tmp_path / "synth01_nv1x16_s0000" / "run.json").read_text())
-        assert run["config"]["epochs"] == 1
-        assert run["config"]["batch_size"] == 8
-
-    def test_config_seed_used_without_flag(self, dataset_dir, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": 5, "epochs": 1}))
-        args = ["train", "--config", str(cfg), "--manifest", str(dataset_dir / "manifest.json"),
-                "--subject", "synth01", "--out", str(tmp_path / "runs")]
-        assert cli.main(args) == 0
-        assert cli.main(args + ["--seed", "2"]) == 0
-        assert capsys.readouterr().out.splitlines() == [
-            str(tmp_path / "runs" / "synth01_nv1x16_s0005"),
-            str(tmp_path / "runs" / "synth01_nv1x16_s0002")]
-        run = json.loads((tmp_path / "runs" / "synth01_nv1x16_s0005" / "run.json").read_text())
-        assert run["seed"] == 5
-
-    def test_flag_does_not_hide_a_bad_config_seed(self, dataset_dir, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": -1, "epochs": 1}))
-        assert cli.main(["train", "--config", str(cfg),
-                         "--manifest", str(dataset_dir / "manifest.json"),
-                         "--subject", "synth01", "--seed", "3",
-                         "--out", str(tmp_path / "runs")]) == 2
-        assert capsys.readouterr().err == (
-            "error: seed must be an unsigned 64-bit integer, got -1\n")
+        for setting in (["--config", str(cfg)], [f"--{key.replace('_', '-')}", "0.9"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["train", *setting, "--manifest", str(dataset_dir / "manifest.json"),
+                          "--subject", "synth01", "--out", str(tmp_path / "runs")])
+            assert exc.value.code == 2
         assert not (tmp_path / "runs").exists()
 
     def trained_and_evaluated(self, dataset_dir, out):
@@ -286,10 +295,8 @@ class TestTrain:
         return run
 
     def retrain_args(self, dataset_dir, tmp_path):
-        """A retrain of seed 0 with another config, so its parameters differ."""
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"batch_size": 8}))
-        return ["train", "--config", str(cfg), "--manifest", str(dataset_dir / "manifest.json"),
+        """A retrain of seed 0 with another batch size, so its parameters differ."""
+        return ["train", "--batch-size", "8", "--manifest", str(dataset_dir / "manifest.json"),
                 "--subject", "synth01", "--epochs", "1", "--seed", "0",
                 "--out", str(tmp_path / "runs")]
 
@@ -302,7 +309,8 @@ class TestTrain:
         assert (run / "parameters.npz").read_bytes() != old_params
         assert [p.name for p in (tmp_path / "runs").iterdir()] == [run.name]
 
-    def test_failed_retrain_keeps_earlier_run(self, dataset_dir, tmp_path, monkeypatch):
+    def test_failed_retrain_keeps_earlier_run(self, dataset_dir, tmp_path, monkeypatch,
+                                              capsys):
         run = self.trained_and_evaluated(dataset_dir, tmp_path / "runs")
         before = {p.name: p.read_bytes() for p in run.iterdir()}
 
@@ -310,22 +318,44 @@ class TestTrain:
             raise OSError("no space left on device")
 
         monkeypatch.setattr(training.RunHistory, "to_csv", full_disk)
-        with pytest.raises(OSError, match="no space left"):
-            cli.main(self.retrain_args(dataset_dir, tmp_path))
+        _write_fails(self.retrain_args(dataset_dir, tmp_path), capsys, "no space left")
         assert {p.name: p.read_bytes() for p in run.iterdir()} == before
         assert [p.name for p in (tmp_path / "runs").iterdir()] == [run.name]
 
     def test_failed_first_train_leaves_no_directory(self, dataset_dir, tmp_path,
-                                                    monkeypatch):
+                                                    monkeypatch, capsys):
         def full_disk(self, path):
             raise OSError("no space left on device")
 
         monkeypatch.setattr(training.RunHistory, "to_csv", full_disk)
-        with pytest.raises(OSError, match="no space left"):
-            cli.main(["train", "--manifest", str(dataset_dir / "manifest.json"),
+        _write_fails(["train", "--manifest", str(dataset_dir / "manifest.json"),
                       "--subject", "synth01", "--epochs", "1", "--seed", "0",
-                      "--out", str(tmp_path / "runs")])
+                      "--out", str(tmp_path / "runs")], capsys, "no space left")
         assert list(tmp_path.iterdir()) == []
+
+    def test_out_that_is_a_file_fails_each_seed(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "runs"
+        out.write_text("not a directory")
+        assert cli.main(["train", "--manifest", str(dataset_dir / "manifest.json"),
+                         "--subject", "synth01", "--epochs", "1", "--seed", "0..1",
+                         "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err and captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 2 and all(line.startswith("error: cannot write ") for line in err)
+        assert "_s0000" in err[0] and "_s0001" in err[1]
+        assert out.read_text() == "not a directory"
+
+    def test_relative_manifest_recorded_absolute(self, dataset_dir, tmp_path, monkeypatch):
+        monkeypatch.chdir(dataset_dir.parent)
+        assert cli.main(["train", "--manifest", f"{dataset_dir.name}/manifest.json",
+                         "--subject", "synth01", "--epochs", "1",
+                         "--out", str(tmp_path / "runs")]) == 0
+        run = tmp_path / "runs" / "synth01_nv1x16_s0000"
+        recorded = Path(json.loads((run / "run.json").read_text())["data_manifest"])
+        assert recorded.is_absolute() and recorded.samefile(dataset_dir / "manifest.json")
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["evaluate", "--run", str(run)]) == 0
 
     @pytest.mark.parametrize("mutate", [
         lambda doc: doc.update(clips=5),
@@ -504,7 +534,7 @@ class TestEvaluate:
     def test_missing_run_dir(self, tmp_path):
         assert cli.main(["evaluate", "--run", str(tmp_path / "nope")]) == 3
 
-    def test_report_written_last(self, run_dir, tmp_path, monkeypatch):
+    def test_report_written_last(self, run_dir, tmp_path, monkeypatch, capsys):
         clone = tmp_path / "clone"
         clone.mkdir()
         for name in ("run.json", "parameters.npz"):
@@ -517,8 +547,7 @@ class TestEvaluate:
             raise OSError("disk full")
 
         monkeypatch.setattr(EvaluationReport, "save", crash)
-        with pytest.raises(OSError, match="disk full"):
-            cli.main(["evaluate", "--run", str(clone), "--split", "train"])
+        _write_fails(["evaluate", "--run", str(clone), "--split", "train"], capsys, "disk full")
         # the earlier report and the roc.csv it vouches for stay as they were
         assert _tree(clone) == before
 
@@ -568,7 +597,8 @@ class TestSplit:
         assert captured.err == ("warning: synth01: validation receives no preictal clips "
                                 "at fraction 0.5\n")
 
-    def test_failed_rerun_keeps_earlier_output(self, dataset_dir, tmp_path, monkeypatch):
+    def test_failed_rerun_keeps_earlier_output(self, dataset_dir, tmp_path, monkeypatch,
+                                               capsys):
         args = ["split", "--manifest", str(dataset_dir / "manifest.json"),
                 "--out", str(tmp_path / "split")]
         assert cli.main(args + ["--fraction", "0.5"]) == 0
@@ -582,8 +612,7 @@ class TestSplit:
 
         monkeypatch.setattr(Manifest, "save", full_disk)
         # at fraction 0.2 no clip moves, so a new train manifest would differ
-        with pytest.raises(OSError, match="disk full"):
-            cli.main(args + ["--fraction", "0.2"])
+        _write_fails(args + ["--fraction", "0.2"], capsys, "disk full")
         assert _tree(tmp_path / "split") == before
 
     def test_bad_fraction(self, dataset_dir, tmp_path):
@@ -647,6 +676,35 @@ def _tree(root):
     """Every file under ``root`` with its bytes, and every directory."""
     return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
             for p in root.rglob("*")}
+
+
+class TestCommit:
+    def test_syncs_files_before_the_moves_and_directories_after(self, tmp_path,
+                                                                monkeypatch):
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", Path(dst).name))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        out = tmp_path / "out"
+        cli._commit(out, {"a.txt": lambda path: Path(path).write_text("a"),
+                          "sub/b.txt": lambda path: Path(path).write_text("b")})
+        inode = {p: p.stat().st_ino for p in (out / "a.txt", out / "sub" / "b.txt",
+                                              out, out / "sub", tmp_path)}
+        # the moved files keep the inodes they were staged and synced under
+        assert events == [("fsync", inode[out / "a.txt"]),
+                          ("fsync", inode[out / "sub" / "b.txt"]),
+                          ("replace", "a.txt"), ("replace", "b.txt"),
+                          ("fsync", inode[out]), ("fsync", inode[out / "sub"]),
+                          ("fsync", inode[tmp_path])]
 
 
 class TestPreprocessNameCollisions:
@@ -966,7 +1024,7 @@ class TestReport:
         agg = json.loads((out / "aggregates.json").read_text())
         assert agg["split"] == "test" and agg["groups"][0]["aucs"] == [0.8, 0.9]
 
-    def test_failed_rerun_keeps_earlier_output(self, tmp_path, monkeypatch):
+    def test_failed_rerun_keeps_earlier_output(self, tmp_path, monkeypatch, capsys):
         runs = [self.fabricate_run(tmp_path, "s1", "nv1x16", 0, 0.8)]
         out = tmp_path / "summary"
         assert cli.main(["report", str(runs[0]), "--out", str(out)]) == 0
@@ -982,10 +1040,18 @@ class TestReport:
         # Path.write_text opens through io.open, the built-in open is another name
         monkeypatch.setattr("builtins.open", full_disk)
         monkeypatch.setattr("io.open", full_disk)
-        with pytest.raises(OSError, match="disk full"):
-            cli.main(["report", *map(str, runs), "--out", str(out)])
+        _write_fails(["report", *map(str, runs), "--out", str(out)], capsys, "disk full")
         monkeypatch.undo()
         assert _tree(out) == before
+
+    def test_out_under_a_file(self, tmp_path, capsys):
+        run = self.fabricate_run(tmp_path, "s1", "nv1x16", 0, 0.8)
+        (tmp_path / "file").write_text("")
+        assert cli.main(["report", str(run), "--out", str(tmp_path / "file" / "x")]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err and captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write ")
 
     def test_no_reports_anywhere(self, tmp_path):
         empty = tmp_path / "run"

@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -153,44 +152,6 @@ class TestTrainConfig:
     def test_invalid_values(self, kw):
         with pytest.raises(ConfigError):
             TrainConfig(**kw).validate()
-
-    def test_from_mapping_round_trip(self):
-        cfg = TrainConfig(topology="nv4x4", epochs=3, learning_rate=0.01)
-        assert TrainConfig.from_mapping(cfg.to_mapping()) == cfg
-
-    def test_from_mapping_unknown_key(self):
-        with pytest.raises(ConfigError):
-            TrainConfig.from_mapping({"momentum": 0.9})
-
-    def test_from_mapping_type_errors(self):
-        with pytest.raises(ConfigError):
-            TrainConfig.from_mapping({"epochs": "50"})
-        with pytest.raises(ConfigError):
-            TrainConfig.from_mapping({"epochs": True})
-        with pytest.raises(ConfigError):
-            TrainConfig.from_mapping({"learning_rate": "fast"})
-        with pytest.raises(ConfigError):
-            TrainConfig.from_mapping({"topology": 4})
-
-    def test_from_mapping_accepts_int_for_float(self):
-        cfg = TrainConfig.from_mapping({"learning_rate": 1})
-        assert cfg.learning_rate == 1.0 and isinstance(cfg.learning_rate, float)
-
-    def test_from_mapping_messages(self):
-        with pytest.raises(ConfigError, match=r"^unknown config keys: \['momentum'\]$"):
-            TrainConfig.from_mapping({"momentum": 0.9})
-        with pytest.raises(ConfigError, match="^config: epochs must be an integer, got True$"):
-            TrainConfig.from_mapping({"epochs": True})
-        with pytest.raises(ConfigError, match="^config must be a mapping$"):
-            TrainConfig.from_mapping([("epochs", 5)])
-
-    def test_integer_too_large_for_a_float(self):
-        with pytest.raises(ConfigError, match="^config: learning_rate is too large for a float$"):
-            TrainConfig.from_mapping({"learning_rate": 10 ** 400})
-
-    def test_integer_learning_rate_recorded_as_float(self):
-        cfg = TrainConfig.from_mapping({"learning_rate": 1})
-        assert json.dumps(cfg.to_mapping()["learning_rate"]) == "1.0"
 
     def test_replace_revalidates(self):
         with pytest.raises(ConfigError):
