@@ -22,6 +22,10 @@ trains one seed after another in this process. Every seed runs even when
 another fails: each finished run directory is printed, each failure gets
 its own error line, and the exit code is that of the first failed seed.
 Seeds run in parallel as one ``train`` process per seed range.
+
+A command runs with numpy's OpenBLAS on one thread, its earlier count
+restored after; the conv blocks and decimation share their work over the
+cores the process may run on themselves.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from .errors import ConfigError, DataError, LayoutError, SeizureCnnError
 from .evaluation import (EvaluationReport, aggregate_runs, evaluate_subject,
                          score_clip)
 from .tensor import (RNG_ALGORITHM_ID, check_fields, load_arrays, load_json,
-                     save_arrays, save_json, seeded_rng)
+                     one_blas_thread, save_arrays, save_json, seeded_rng)
 from .topologies import TOPOLOGIES, build_topology
 from .training import TrainConfig, fit
 
@@ -428,7 +432,8 @@ def main(argv=None) -> int:
         warnings.showwarning = lambda message, *_: print(f"warning: {message}",
                                                          file=sys.stderr)
         try:
-            return args.func(args)
+            with one_blas_thread():
+                return args.func(args)
         except SeizureCnnError as exc:
             return _error_exit(exc)
 

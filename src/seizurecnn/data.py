@@ -26,15 +26,14 @@ import math
 import os
 import struct
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ClipFormatError, ConfigError, DataError, ManifestError
-from .tensor import (FLOAT32, RngStream, Tensor, check_fields, load_json, save_json,
-                     seeded_rng)
+from .tensor import (FLOAT32, RngStream, Tensor, check_fields, in_threads, load_json,
+                     save_json, seeded_rng, shares)
 from .topologies import N_CHANNELS, SEGMENT_SAMPLES, ElectrodeLayout
 
 INGEST_RATE_HZ = 400.0
@@ -129,15 +128,10 @@ ANTIALIAS_TAPS = np.sinc(0.4 * np.arange(-50, 51)) * np.hamming(101)
 ANTIALIAS_TAPS /= ANTIALIAS_TAPS.sum()
 ANTIALIAS_TAPS.flags.writeable = False
 
-
-DECIMATE_MAX_THREADS = 4
-
-
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+#: the shortest 400 Hz clip, in samples per channel, whose decimation is
+#: shared over threads: 16 channels of 3600 samples took 0.90 ms on one
+#: thread and 1.37 ms on two, of 4000 samples 1.57 and 1.23 ms (2 cores)
+THREADED_DECIMATE_SAMPLES = 4000
 
 
 def _mirror(index: np.ndarray, n: int) -> np.ndarray:
@@ -157,12 +151,11 @@ def decimate(clip: Clip) -> Clip:
     the even taps over the even samples plus the odd taps over the odd
     ones, each correlation an FFT product in 64-bit.
 
-    Channels are shared out over one thread per usable core, the calling
-    thread among them, at most ``DECIMATE_MAX_THREADS`` (np.fft releases
-    the GIL). Every channel takes the same steps on any thread count, so
-    the output bytes do not depend on it. Each thread's scratch is
-    allocated here, in the calling thread, so the workers allocate
-    nothing large.
+    Channels are shared out over threads with ``tensor.in_threads`` (np.fft
+    releases the GIL), but a clip shorter than ``THREADED_DECIMATE_SAMPLES``
+    runs on one thread, where a second gains nothing. Every channel takes
+    the same steps on any thread count, so the output bytes do not depend
+    on it.
     """
     if clip.sample_rate_hz != INGEST_RATE_HZ:
         raise DataError(f"decimate expects a {INGEST_RATE_HZ:g} Hz clip, "
@@ -183,16 +176,16 @@ def decimate(clip: Clip) -> Clip:
     left = _mirror(np.arange(-half, 0), n_samples)
     right = _mirror(np.arange(n_samples, n_samples + half), n_samples)
     out = np.empty((n_channels, n_out), dtype=FLOAT32)
-    n_threads = min(_usable_cores(), n_channels, DECIMATE_MAX_THREADS)
-    # per thread: the padded row, which also takes the inverse FFT once
-    # both phases are transformed (nfft < n_samples + 2 * half), and the
-    # two phase spectra
-    scratch = [(np.empty(n_samples + 2 * half), np.empty(nfft // 2 + 1, np.complex128),
-                np.empty(nfft // 2 + 1, np.complex128)) for _ in range(n_threads)]
 
-    def work(t: int) -> None:
-        padded, spectrum, odd_spectrum = scratch[t]
-        for c in range(t, n_channels, n_threads):
+    def scratch():
+        # the padded row, which also takes the inverse FFT once both phases
+        # are transformed (nfft < n_samples + 2 * half), and the two spectra
+        return (np.empty(n_samples + 2 * half), np.empty(nfft // 2 + 1, np.complex128),
+                np.empty(nfft // 2 + 1, np.complex128))
+
+    def work(channels, buffers) -> None:
+        padded, spectrum, odd_spectrum = buffers
+        for c in channels:
             row = clip.samples[c]
             padded[half:half + n_samples] = row
             padded[:half] = row[left]
@@ -205,12 +198,8 @@ def decimate(clip: Clip) -> Clip:
             series = np.fft.irfft(spectrum, nfft, out=padded[:nfft])
             out[c] = series[:n_out]
 
-    # the calling thread takes the first share; the pool starts a thread
-    # only for each share submitted to it, so on one core it starts none
-    with ThreadPoolExecutor(n_threads) as pool:
-        rest = pool.map(work, range(1, n_threads))
-        work(0)
-        list(rest)
+    parts = shares(n_channels) if n_samples >= THREADED_DECIMATE_SAMPLES else [range(n_channels)]
+    in_threads(parts, work, scratch)
     return Clip(out, TARGET_RATE_HZ, clip.label)
 
 

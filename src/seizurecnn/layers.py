@@ -52,6 +52,21 @@ rounding to nearest is symmetric in sign; the running maximum is negated
 back on the pooled tensor.  A zero whose sign differs on the way is made
 ``+0`` by the ReLU, as in the layers.
 
+Every per-segment loop (Conv's forward and backward, BatchNorm's batch
+sums, the TRAIN and INFER blocks and both backward passes) shares the
+batch's segments over threads with ``tensor.in_threads``: contiguous
+shares, one per usable core up to four, each thread with its own scratch
+from the calling thread.  It does so only while OpenBLAS runs one thread,
+as every command makes it; otherwise the loops run on the calling thread.
+The bits cannot change with the thread count.  Each segment's results go
+to rows of their own (``out[b]``, the argmax, BatchNorm's sums, the
+``g_bias`` rows, ``dx[b]``), reduced over the batch afterwards in batch
+order, and the kernel gradient adds the segments' terms in batch order:
+the first share adds its own as it goes, the later shares keep theirs for
+the calling thread to add after.  With one BLAS thread, no GEMM or dot
+splits its own sums over threads either; a float64 dot of ``_rowdot``
+would otherwise follow the BLAS thread count.
+
 A layer names its persistent arrays once, in ``param_keys`` (learned,
 with the gradient of ``key`` in ``g_<key>``) and ``buffer_keys`` (kept
 but not learned); ``params``, ``grads``, ``state`` and ``set_state``
@@ -76,7 +91,7 @@ import math
 
 import numpy as np
 
-from .tensor import DEFAULT_DTYPE, RngStream, Tensor, glorot_uniform
+from .tensor import DEFAULT_DTYPE, RngStream, Tensor, glorot_uniform, in_threads, shares
 
 TRAIN = "train"
 INFER = "infer"
@@ -174,13 +189,14 @@ class Conv(Layer):
     with zero padding; offset = (extent - 1) // 2 per axis.
 
     Each tap's window is copied straight from one segment of the input into
-    one im2col scratch per call, (maps_in * taps, prod(spatial)), rows in
+    one im2col scratch per thread, (maps_in * taps, prod(spatial)), rows in
     (map, *tap) order, taps in ``np.ndindex(*extents)`` order: the row order
     of ``kernel.reshape(maps_out, -1)``.  Each product is one GEMM per
     segment, as numpy's batched GEMM is, so the bits are the same; the
     kernel gradient sums the segments' products in batch order from the
     first, as ``sum(axis=0)`` does.  TRAIN caches the input, which Conv
-    never writes; backward rebuilds the columns from it.
+    never writes; backward rebuilds the columns from it and forms their
+    gradient in their scratch.
     """
 
     param_keys = ("kernel", "bias")
@@ -204,22 +220,31 @@ class Conv(Layer):
         self.g_bias = np.zeros_like(self.bias)
 
     def _taps_at(self, spatial):
-        """Per tap, in np.ndindex order: the output cells that read the input
-        and the input cells they read; its other output cells read padding."""
+        """Per tap, in np.ndindex order: the output cells that read the input,
+        the input cells they read, and the slabs of output cells, one per
+        axis the tap shifts along, that read padding instead."""
         every = (slice(None), slice(None))
         for offs in np.ndindex(*self.extents):
             # on an axis of s cells, output cell i reads input cell i + k
             shifts = [(d - lo, s) for d, (lo, _), s in zip(offs, self._pads, spatial)]
             yield (every + tuple(slice(max(0, -k), max(0, s - k)) for k, s in shifts),
-                   every + tuple(slice(max(0, k), max(0, s + k)) for k, s in shifts))
+                   every + tuple(slice(max(0, k), max(0, s + k)) for k, s in shifts),
+                   [every + (slice(None),) * axis
+                    + (slice(0, -k) if k < 0 else slice(max(0, s - k), s),)
+                    for axis, (k, s) in enumerate(shifts) if k])
 
-    def _columns(self, x: Tensor):
-        """Each segment's columns in batch order, all in one scratch whose
-        padding cells, which no segment writes, stay zero."""
-        cols = np.zeros((1, self.maps_in, self._taps) + x.shape[2:], dtype=x.dtype)
+    def _scratch(self, x: Tensor) -> Tensor:
+        """One segment's zeroed column scratch, (1, maps_in, taps, *spatial):
+        its padding cells must hold zeros whenever ``_columns`` fills it."""
+        return np.zeros((1, self.maps_in, self._taps) + x.shape[2:], dtype=x.dtype)
+
+    def _columns(self, x: Tensor, segments, cols: Tensor):
+        """The columns of each of ``segments`` of ``x`` in turn, all in
+        ``cols``, a ``_scratch`` whose padding cells, which no segment
+        writes, stay zero."""
         taps = list(self._taps_at(x.shape[2:]))
-        for b in range(x.shape[0]):
-            for t, (out, src) in enumerate(taps):
+        for b in segments:
+            for t, (out, src, _) in enumerate(taps):
                 cols[:, :, t][out] = x[b:b + 1][src]
             yield cols.reshape(self.maps_in * self._taps, -1)
 
@@ -234,35 +259,60 @@ class Conv(Layer):
         self._check(x)
         kernel = self.kernel.reshape(self.maps_out, -1)
         out = np.empty((x.shape[0], self.maps_out, int(np.prod(x.shape[2:]))), dtype=x.dtype)
-        for b, cols in enumerate(self._columns(x)):
-            np.matmul(kernel, cols, out=out[b])
+
+        def work(segments, cols):
+            for b, c in zip(segments, self._columns(x, segments, cols)):
+                np.matmul(kernel, c, out=out[b])
+
+        in_threads(shares(x.shape[0]), work, lambda: self._scratch(x))
         out += self.bias[:, None]
         return self._keep(mode, out.reshape((x.shape[0], self.maps_out) + x.shape[2:]), x)
 
     def backward(self, upstream: Tensor) -> Tensor:
         x, = self._kept(upstream)
-        return self._backward(x, upstream.reshape(upstream.shape[0], self.maps_out, -1))
+        up = upstream.reshape(upstream.shape[0], self.maps_out, -1)
+        return self._backward(x, lambda b, _: up[b])
 
-    def _backward(self, x: Tensor, ups) -> Tensor:
-        """The backward over the cached input ``x``, given each segment's
-        upstream gradient as (maps_out, cells), in batch order: sets the
-        parameter gradients and returns the input gradient."""
+    def _backward(self, x: Tensor, upstream, scratch=tuple) -> Tensor:
+        """The backward over the cached input ``x``: sets the parameter
+        gradients and returns the input gradient.  ``upstream(b, buffers)``
+        gives segment b's upstream gradient as (maps_out, cells), where
+        ``buffers`` is what ``scratch()`` made for the thread running b."""
         kernel_t = self.kernel.reshape(self.maps_out, -1).T
         g_kernel = np.zeros(kernel_t.shape[::-1], dtype=x.dtype)  # an empty batch's sum
-        term = np.empty_like(g_kernel)
         g_bias = np.empty((x.shape[0], self.maps_out), dtype=x.dtype)
-        d_cols = np.empty((1, self.maps_in, self._taps) + x.shape[2:], dtype=x.dtype)
         dx = np.zeros(x.shape, dtype=x.dtype)
         taps = list(self._taps_at(x.shape[2:]))
-        for b, (cols, up) in enumerate(zip(self._columns(x), ups)):
-            g_bias[b] = up.sum(axis=1)
-            # start from the first term: zero plus it would turn -0.0 into +0.0
-            np.matmul(up, cols.T, out=g_kernel if b == 0 else term)
-            if b:
-                g_kernel += term
-            np.matmul(kernel_t, up, out=d_cols.reshape(cols.shape))
-            for t, (out, src) in enumerate(taps):
-                dx[b:b + 1][src] += d_cols[:, :, t][out]
+        parts = shares(x.shape[0])
+        # the first share adds each segment's kernel-gradient term to
+        # g_kernel as it goes; the later shares keep theirs for the caller
+        first = len(parts[0])
+        later = np.empty((x.shape[0] - first,) + g_kernel.shape, dtype=x.dtype)
+
+        def buffers():
+            return self._scratch(x), np.empty_like(g_kernel), scratch()
+
+        def work(segments, buffers):
+            cols, term, extra = buffers
+            for b, c in zip(segments, self._columns(x, segments, cols)):
+                up = upstream(b, extra)
+                up.sum(axis=1, out=g_bias[b])
+                # start from the first term: zero plus it would turn -0.0 into +0.0
+                np.matmul(up, c.T, out=later[b - first] if b >= first else
+                          g_kernel if b == 0 else term)
+                if 0 < b < first:
+                    np.add(g_kernel, term, out=g_kernel)
+                # the columns' gradient takes the columns' place, and their
+                # padding cells, which it writes too, are zeroed again
+                np.matmul(kernel_t, up, out=c)
+                for t, (out, src, padding) in enumerate(taps):
+                    dx[b:b + 1][src] += cols[:, :, t][out]
+                    for slab in padding:
+                        cols[:, :, t][slab] = 0
+
+        in_threads(parts, work, buffers)
+        for term in later:  # in batch order
+            g_kernel += term
         self.g_bias = g_bias.sum(axis=0)
         self.g_kernel = g_kernel.reshape(self.kernel.shape)
         return dx
@@ -283,6 +333,10 @@ class MaxPool(Layer):
         if any(w < 1 for w in self.window):
             raise ValueError(f"pool window extents must be positive, got {self.window}")
 
+    def _pooled(self, shape) -> tuple[int, ...]:
+        """The output shape for an input of ``shape``, which ``_views`` checks."""
+        return self._views(np.broadcast_to(np.empty((), np.int8), shape))[0].shape
+
     def _views(self, x: Tensor) -> list[Tensor]:
         """One strided view of ``x`` per window offset, in np.ndindex order."""
         rank = len(self.window)
@@ -299,17 +353,19 @@ class MaxPool(Layer):
         return np.zeros(shape, dtype=np.min_scalar_type(int(np.prod(self.window)) - 1))
 
     @staticmethod
-    def _pool(views: list[Tensor], out: Tensor, argmax: Tensor | None) -> None:
+    def _pool(views: list[Tensor], out: Tensor, argmax: Tensor | None, flags=None) -> None:
         """The running maximum of ``views`` into ``out`` and, given a zeroed
-        ``argmax``, the first offset holding it."""
+        ``argmax``, the first offset holding it; ``flags``, two bool arrays
+        shaped as ``out``, is the scratch for that, or None to allocate it."""
         np.copyto(out, views[0])
         for view in views[1:]:
             np.maximum(view, out, out=out)  # a tie keeps ``out``, the earlier cell
         if argmax is None:
             return
         # count the leading offsets that all differ from the maximum
-        before = np.ones(out.shape, dtype=bool)
-        differs = np.empty(out.shape, dtype=bool)
+        before, differs = flags or (np.empty(out.shape, dtype=bool),
+                                    np.empty(out.shape, dtype=bool))
+        before.fill(True)
         for view in views[:-1]:
             np.not_equal(view, out, out=differs)
             before &= differs
@@ -322,27 +378,38 @@ class MaxPool(Layer):
         self._pool(views, out, argmax)
         return self._keep(mode, out, argmax, x.shape)
 
-    def _cells(self, argmax: Tensor, in_shape):
-        """Per segment, in batch order, the flat index in the segment of each
-        window's argmax cell: int32 unless a segment has 2**31 cells."""
+    def _cells(self, in_shape):
+        """Per window of a segment, the flat index in the segment of its first
+        cell, and per window offset the distance from it: int32 unless a
+        segment has 2**31 cells."""
         seg = in_shape[1:]
         index = np.int32 if math.prod(seg) < 2**31 else np.intp
-        # each window's first cell, and each offset from it
         first = np.ravel_multi_index(np.ix_(*(
             np.arange(0, s, w) for s, w in zip(seg, (1,) + self.window))), seg).astype(index)
         offset = np.ravel_multi_index(
             (0,) + tuple(np.indices(self.window).reshape(len(self.window), -1)),
             seg).astype(index)
-        for b in range(in_shape[0]):
-            cell = offset[argmax[b]]
-            cell += first
-            yield cell.reshape(-1)
+        return first, offset
+
+    @staticmethod
+    def _argmax_cells(argmax: Tensor, first: Tensor, offset: Tensor, out: Tensor,
+                      index: Tensor) -> Tensor:
+        """One segment's argmax cells, flat indices as ``_cells`` gives them,
+        into ``out``; ``index``, an intp array of the same shape, is the
+        scratch ``np.take`` would otherwise allocate."""
+        np.copyto(index, argmax)
+        np.take(offset, index, out=out, mode="clip")  # "raise" would buffer ``out``
+        out += first
+        return out
 
     def backward(self, upstream: Tensor) -> Tensor:
         argmax, in_shape = self._kept(upstream)
+        first, offset = self._cells(in_shape)
+        cell, index = np.empty_like(first), np.empty(first.shape, dtype=np.intp)
         dx = np.zeros(in_shape, dtype=upstream.dtype)
-        for b, cell in enumerate(self._cells(argmax, in_shape)):
-            dx[b].reshape(-1)[cell] = upstream[b].reshape(-1)
+        for b in range(in_shape[0]):
+            self._argmax_cells(argmax[b], first, offset, cell, index)
+            dx[b].reshape(-1)[cell.reshape(-1)] = upstream[b].reshape(-1)
         return dx
 
 
@@ -386,9 +453,22 @@ class BatchNorm(Layer):
         if x3.shape[0] < 2:
             raise ValueError(f"{self.name}: train mode needs batch size >= 2")
         count = x3.shape[0] * x3.shape[2]
-        mean = x3.sum(axis=2).sum(axis=0) / count
-        centred = np.subtract(x3, mean[:, None], out=out)
-        var = _rowdot(centred, centred).sum(axis=0) / count
+        centred = np.empty(x3.shape, dtype=x3.dtype) if out is None else out
+        rows = np.empty(x3.shape[:2], dtype=x3.dtype)  # per segment and map
+
+        def sums(segments, _):
+            for b in segments:
+                x3[b].sum(axis=1, out=rows[b])
+
+        def dots(segments, _):
+            for b in segments:
+                np.subtract(x3[b], mean[:, None], out=centred[b])
+                rows[b] = _rowdot(centred[b], centred[b])
+
+        in_threads(shares(x3.shape[0]), sums)
+        mean = rows.sum(axis=0) / count
+        in_threads(shares(x3.shape[0]), dots)
+        var = rows.sum(axis=0) / count
         self.running_mean[...] = (1.0 - self.momentum) * self.running_mean + self.momentum * mean
         self.running_var[...] = (1.0 - self.momentum) * self.running_var + self.momentum * var
         return centred, 1.0 / np.sqrt(var + self.epsilon)
@@ -443,17 +523,26 @@ def _train_block(x: Tensor, bn: BatchNorm, pool: MaxPool, relu: ReLU) -> Tensor:
 
     One pass centres ``x`` in place for the batch statistics.  Then, per
     segment and while it is in cache, the centred values are scaled into
-    ``xhat``, normalized into one scratch, and pooled from there."""
+    ``xhat``, normalized into its thread's scratch, and pooled from there."""
     x3 = bn._maps_view(x)
     xhat, inv_std = bn._centre(x3, out=x3)
-    scratch = np.empty(xhat.shape[1:], dtype=x.dtype)
-    views = pool._views(scratch.reshape((1,) + x.shape[1:]))
-    out = np.empty(x.shape[:1] + views[0].shape[1:], dtype=scratch.dtype)
+    out = np.empty(pool._pooled(x.shape), dtype=x.dtype)
     argmax = pool._argmax(out.shape)
-    for b in range(x.shape[0]):
-        xhat[b] *= inv_std[:, None]
-        bn._affine(xhat[b], out=scratch)
-        pool._pool(views, out[b:b + 1], argmax[b:b + 1])
+
+    def scratch():
+        segment = np.empty((1,) + x.shape[1:], dtype=x.dtype)
+        flags = (np.empty((1,) + out.shape[1:], dtype=bool),
+                 np.empty((1,) + out.shape[1:], dtype=bool))
+        return segment.reshape(xhat.shape[1:]), pool._views(segment), flags
+
+    def work(segments, buffers):
+        segment, views, flags = buffers
+        for b in segments:
+            xhat[b] *= inv_std[:, None]
+            bn._affine(xhat[b], out=segment)
+            pool._pool(views, out[b:b + 1], argmax[b:b + 1], flags)
+
+    in_threads(shares(x.shape[0]), work, scratch)
     bn._keep(TRAIN, x, xhat, inv_std)
     pool._keep(TRAIN, out, argmax, x.shape)
     return relu.forward(out, TRAIN)
@@ -468,16 +557,24 @@ def _conv_block(x: Tensor, mode: str, conv: Conv, bn: BatchNorm, pool: MaxPool,
         # Conv.forward returns a fresh array, so the block may overwrite it
         return _train_block(conv.forward(x, TRAIN), bn, pool, relu)
     conv._check(x)
-    scratch = np.empty((conv.maps_out, int(np.prod(x.shape[2:]))), dtype=x.dtype)
-    views = pool._views(scratch.reshape((1, conv.maps_out) + x.shape[2:]))
-    out = np.empty(x.shape[:1] + views[0].shape[1:], dtype=x.dtype)
+    shape = (1, conv.maps_out) + x.shape[2:]
+    out = np.empty(x.shape[:1] + pool._pooled(shape)[1:], dtype=x.dtype)
     pooled = bn._maps_view(out)
     scale, shift = bn._folded()
     sign = np.where(scale < 0, x.dtype.type(-1), x.dtype.type(1))[:, None]
     kernel = conv.kernel.reshape(conv.maps_out, -1) * sign
-    for b, cols in enumerate(conv._columns(x)):
-        np.matmul(kernel, cols, out=scratch)
-        pool._pool(views, out[b:b + 1], None)
+
+    def scratch():
+        segment = np.empty(shape, dtype=x.dtype)
+        return conv._scratch(x), segment.reshape(conv.maps_out, -1), pool._views(segment)
+
+    def work(segments, buffers):
+        cols, segment, views = buffers
+        for b, c in zip(segments, conv._columns(x, segments, cols)):
+            np.matmul(kernel, c, out=segment)
+            pool._pool(views, out[b:b + 1], None)
+
+    in_threads(shares(x.shape[0]), work, scratch)
     pooled *= sign
     pooled += conv.bias[:, None]
     pooled *= scale[:, None]
@@ -492,37 +589,45 @@ def _block_backward(up: Tensor, conv: Conv, bn: BatchNorm, pool: MaxPool, relu: 
     nor BatchNorm's input gradient ever exists at full resolution.
 
     Pass 1 scatters each segment's pooled gradient to its argmax cells of
-    one zeroed scratch, for BatchNorm's parameter gradients, and keeps the
-    cells.  Pass 2 scatters it again, forms BatchNorm's input gradient in
+    its thread's zeroed scratch, for BatchNorm's parameter gradients, and
+    keeps the cells.  Pass 2 scatters it again, forms BatchNorm's input gradient in
     the segment's ``xhat`` and hands it to Conv's backward while it is in
     cache."""
     up = relu.backward(up)
     argmax, in_shape = pool._kept(up)
     xhat, inv_std = bn._kept(in_shape)
     x, = conv._kept(in_shape)
-    scratch = np.empty(xhat.shape[1:], dtype=up.dtype)
-    flat = scratch.reshape(-1)
     g_gamma = np.empty(xhat.shape[:2], dtype=up.dtype)
     g_beta = np.empty_like(g_gamma)
-    cells = []
-    for b, cell in enumerate(pool._cells(argmax, in_shape)):
-        scratch.fill(0)
-        flat[cell] = up[b].reshape(-1)
-        g_gamma[b] = _rowdot(scratch, xhat[b])
-        g_beta[b] = scratch.sum(axis=1)
-        cells.append(cell)
+    first, offset = pool._cells(in_shape)
+    cells = np.empty((in_shape[0],) + first.shape, dtype=first.dtype)
+    count = xhat.shape[0] * xhat.shape[2]
+
+    def scratch():
+        return np.empty(xhat.shape[1:], dtype=up.dtype), np.empty(first.shape, dtype=np.intp)
+
+    def scattered(b, buffers):
+        """Segment b's pooled gradient at its argmax cells of a zeroed scratch."""
+        segment, index = buffers
+        segment.fill(0)
+        np.copyto(index, cells[b])  # an intp index, which numpy would otherwise copy
+        segment.reshape(-1)[index.reshape(-1)] = up[b].reshape(-1)
+        return segment
+
+    def first_pass(segments, buffers):
+        for b in segments:
+            pool._argmax_cells(argmax[b], first, offset, cells[b], buffers[1])
+            segment = scattered(b, buffers)
+            g_gamma[b] = _rowdot(segment, xhat[b])
+            segment.sum(axis=1, out=g_beta[b])
+
+    in_threads(shares(in_shape[0]), first_pass, scratch)
     # BatchNorm.backward's reductions, in its order
     bn.g_gamma = g_gamma.sum(axis=0)
     bn.g_beta = g_beta.sum(axis=0)
-    count = xhat.shape[0] * xhat.shape[2]
-
-    def segments():
-        for b, cell in enumerate(cells):
-            scratch.fill(0)
-            flat[cell] = up[b].reshape(-1)
-            yield bn._input_grad(xhat[b], inv_std, scratch, count)
-
-    return conv._backward(x, segments())
+    return conv._backward(
+        x, lambda b, buffers: bn._input_grad(xhat[b], inv_std, scattered(b, buffers), count),
+        scratch)
 
 
 class Dropout(Layer):

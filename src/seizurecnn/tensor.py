@@ -1,5 +1,5 @@
-"""Dense arrays, seeded randomness, parameter initialization, and the
-array and JSON file codecs.
+"""Dense arrays, seeded randomness, parameter initialization, the array
+and JSON file codecs, and the one way work is shared over threads.
 
 Arrays throughout the toolkit are plain ``numpy`` ndarrays in C order:
 the first axis varies slowest, reshape never reorders memory, and the
@@ -18,14 +18,25 @@ JSON documents (manifests, layouts, run records, reports) are written
 indented with sorted keys and a trailing newline, so equal contents give
 equal bytes. Every reader checks a document's keys and value types with
 one function, ``check_fields``.
+
+``shares`` and ``in_threads`` share a call's items over the cores the
+process may run on, but only while numpy's OpenBLAS runs one thread
+(``one_blas_thread``, as every command sets it): BLAS threads beside ours
+would compete for the same cores, and a float64 dot's bits follow the BLAS
+thread count. So a library caller that leaves BLAS as it is runs on its
+own thread alone.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
 import json
+import os
 import zipfile
-from typing import Mapping
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -165,3 +176,88 @@ def check_fields(obj, kinds: Mapping, required, where: str,
             names = " or ".join(_KINDS[k][0] for k in want)
             raise error_cls(f"{where}: {key} must be {names}, got {value!r}")
     return obj
+
+
+#: the most threads one call shares its items over
+MAX_THREADS = 4
+
+
+def _usable_cores() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _openblas():
+    """numpy's OpenBLAS thread-count getter and setter, or None where numpy
+    ships no scipy-openblas library that exports them."""
+    import ctypes  # at first use, so that importing the package does not load it
+    import glob
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        lib = ctypes.CDLL(path)  # the copy numpy loaded: dlopen finds it by its file
+        try:
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+def blas_threads() -> int | None:
+    """How many threads numpy's OpenBLAS runs, or None where it cannot tell."""
+    blas = _openblas()
+    return None if blas is None else blas[0]()
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body with numpy's OpenBLAS on one thread, then restore its
+    earlier count, also when the body raises; a no-op where it cannot be set."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+def shares(n: int) -> list[range]:
+    """``range(n)`` cut into contiguous shares of near-equal length, one per
+    thread to run them on: one per usable core, at most ``n`` and
+    ``MAX_THREADS``, while OpenBLAS runs exactly one thread, else one."""
+    threads = max(1, min(_usable_cores(), n, MAX_THREADS))
+    if threads > 1 and blas_threads() != 1:
+        threads = 1
+    bounds = [n * t // threads for t in range(threads + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def in_threads(parts: list[range], work: Callable, scratch: Callable = tuple) -> None:
+    """Call ``work(part, buffers)`` for each of ``parts``: the calling
+    thread takes the first, a pool of one thread fewer than there are
+    parts the others. Every thread has ended on return, which raises what
+    a part raised.
+
+    ``scratch()`` makes each thread's ``buffers``; it runs here, in the
+    calling thread, so no worker allocates a large array. The parts must
+    not write the same memory."""
+    buffers = [scratch() for _ in parts]
+    if len(parts) == 1:
+        work(parts[0], buffers[0])
+        return
+    with ThreadPoolExecutor(len(parts) - 1) as pool:
+        rest = pool.map(work, parts[1:], buffers[1:])
+        work(parts[0], buffers[0])
+        list(rest)

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,13 +49,24 @@ class TrainConfig:
 
     def validate(self) -> "TrainConfig":
         input_grid(self.topology)  # the one check for an unknown topology
-        if not 0 <= int(self.seed) < 2 ** 64:
+        for name in ("seed", "epochs", "batch_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.learning_rate, bool) or not isinstance(self.learning_rate,
+                                                                  numbers.Real):
+            raise ConfigError(f"learning_rate must be a number, got {self.learning_rate!r}")
+        if not 0 <= self.seed < 2 ** 64:
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
-        if not 0 < self.learning_rate < float("inf"):
+        try:
+            rate = float(self.learning_rate)
+        except OverflowError:  # an integer too large for a float
+            rate = math.inf
+        if not 0 < rate < math.inf:
             raise ConfigError(f"learning_rate must be positive and finite, "
                               f"got {self.learning_rate}")
         return self

@@ -263,19 +263,37 @@ def traced_peak(call):
 SLACK = 256 * 1024
 
 
-def test_conv_holds_segment_columns_only():
+def check_conv_peaks(threads):
+    """Bound the traced peaks of a Conv's forward and backward at batch 8
+    on ``threads`` threads: what one thread holds, plus what each further
+    thread holds."""
     batch, maps_in, extents, spatial = 8, 16, (1, 2, 5), (4, 4, 120)
     conv = Conv(maps_in, 32, extents, seeded_rng(19))
     x = seeded_rng(20).normal(size=(batch, maps_in) + spatial).astype(np.float32)
     segment = maps_in * conv._taps * int(np.prod(spatial)) * x.itemsize  # one segment's columns
     out, forward = traced_peak(lambda: conv.forward(x, TRAIN))
-    assert forward <= out.nbytes + segment + SLACK
+    assert forward <= out.nbytes + segment + (threads - 1) * segment + SLACK
     up = seeded_rng(21).normal(size=out.shape).astype(np.float32)
     dx, backward = traced_peak(lambda: conv.backward(up))
-    # the columns and their gradient, one segment each
-    assert backward <= dx.nbytes + 2 * segment + SLACK
+    # the columns and their gradient, one segment each; each further thread
+    # its columns and kernel-gradient term, and every share but the first
+    # its segments' kernel-gradient terms
+    kernel = conv.kernel.nbytes
+    later = batch - batch // threads if threads > 1 else 0
+    assert backward <= (dx.nbytes + 2 * segment + (threads - 1) * (segment + kernel)
+                        + later * kernel + SLACK)
     # the batch's columns would be ``batch`` segments
     assert max(forward, backward) < batch * segment / 2
+
+
+def test_conv_holds_segment_columns_only(pretend_cores):
+    pretend_cores(1)
+    check_conv_peaks(1)
+
+
+def test_conv_holds_segment_columns_per_thread(pretend_cores, one_blas_thread):
+    pretend_cores(2)
+    check_conv_peaks(2)
 
 
 @pytest.mark.parametrize("window,windows", [((1, 5), (4, 600)), ((1, 1, 2, 5), (2, 2, 2, 300)),

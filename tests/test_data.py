@@ -13,9 +13,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.signal import fftconvolve, firwin
 
-from seizurecnn.data import (ANTIALIAS_TAPS, CLIP_MAGIC, CLIP_VERSION, STD_FLOOR, Clip,
-                             ClipRecord, Manifest, SegmentBatch, bandpower_score, cook,
-                             decimate, generate_synthetic, load_clip, load_split_segments,
+from seizurecnn.data import (ANTIALIAS_TAPS, CLIP_MAGIC, CLIP_VERSION, STD_FLOOR,
+                             THREADED_DECIMATE_SAMPLES, Clip, ClipRecord, Manifest,
+                             SegmentBatch, bandpower_score, cook, decimate,
+                             generate_synthetic, load_clip, load_split_segments,
                              preprocess_clip, save_clip, segment, split_train_validation,
                              znormalize, _HEADER, _burst_envelope, _colored_noise)
 from seizurecnn.errors import ClipFormatError, ConfigError, DataError, ManifestError
@@ -25,10 +26,6 @@ from seizurecnn.tensor import seeded_rng
 def noise_clip(n_samples=6000, rate=400.0, label="interictal", seed=0, channels=16):
     samples = seeded_rng(seed).split("clip").normal(size=(channels, n_samples))
     return Clip(samples.astype(np.float32), rate, label)
-
-
-def pretend_cores(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 def one_channel_loop(clip):
@@ -202,14 +199,15 @@ class TestDecimate:
 
     @pytest.mark.parametrize("channels,n_samples", [(16, 240000), (16, 24000), (3, 6002),
                                                     (1, 6000)])
-    def test_matches_one_channel_loop(self, channels, n_samples, monkeypatch):
+    def test_matches_one_channel_loop(self, channels, n_samples, pretend_cores,
+                                      one_blas_thread):
         clip = noise_clip(n_samples, channels=channels)
         ref = one_channel_loop(clip).tobytes()
         for cores in (1, 2, 3, 64):
-            pretend_cores(monkeypatch, cores)
+            pretend_cores(cores)
             assert decimate(clip).samples.tobytes() == ref, cores
 
-    def test_one_core_writes_same_bytes(self, tmp_path, monkeypatch):
+    def test_one_core_writes_same_bytes(self, tmp_path, pretend_cores, one_blas_thread):
         save_clip(noise_clip(240000), tmp_path / "raw.clip")
         code = ("import os, sys; from seizurecnn.data import decimate, load_clip, save_clip; "
                 "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
@@ -217,15 +215,15 @@ class TestDecimate:
                 "save_clip(decimate(load_clip(sys.argv[1])), sys.argv[2])")
         subprocess.run([sys.executable, "-c", code, str(tmp_path / "raw.clip"),
                         str(tmp_path / "one_core.clip")], check=True)
-        pretend_cores(monkeypatch, 4)
+        pretend_cores(4)
         save_clip(decimate(load_clip(tmp_path / "raw.clip")), tmp_path / "four_cores.clip")
         assert (tmp_path / "one_core.clip").read_bytes() == \
             (tmp_path / "four_cores.clip").read_bytes()
 
-    def test_repeated_threaded_calls_agree(self, monkeypatch):
+    def test_repeated_threaded_calls_agree(self, pretend_cores, one_blas_thread):
         clip = noise_clip(6002, channels=16)
         ref = one_channel_loop(clip).tobytes()
-        pretend_cores(monkeypatch, 64)
+        pretend_cores(64)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -235,8 +233,9 @@ class TestDecimate:
             sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("cores", [1, 64])
-    def test_no_thread_outlives_the_call(self, cores, monkeypatch):
-        pretend_cores(monkeypatch, cores)
+    def test_no_thread_outlives_the_call(self, cores, monkeypatch, pretend_cores,
+                                         one_blas_thread):
+        pretend_cores(cores)
         workers = set()
         real_irfft = np.fft.irfft
 
@@ -250,6 +249,21 @@ class TestDecimate:
         assert set(threading.enumerate()) == before
         assert threading.get_ident() in workers
         assert len(workers) == 1 if cores == 1 else len(workers) > 1
+
+    def test_short_clip_decimates_on_one_thread(self, monkeypatch, pretend_cores,
+                                                one_blas_thread):
+        pretend_cores(64)
+        workers = set()
+        real_irfft = np.fft.irfft
+
+        def irfft(*args, **kwargs):
+            workers.add(threading.get_ident())
+            return real_irfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", irfft)
+        clip = noise_clip(THREADED_DECIMATE_SAMPLES - 2)
+        assert decimate(clip).samples.tobytes() == one_channel_loop(clip).tobytes()
+        assert workers == {threading.get_ident()}
 
 
 class TestZnormalize:
@@ -356,10 +370,10 @@ class TestPreprocessClip:
             tracemalloc.stop()
         assert peak < 2 * clip.samples.nbytes
 
-    def test_peak_memory_below_twice_input_on_many_cores(self, monkeypatch):
+    def test_peak_memory_below_twice_input_on_many_cores(self, pretend_cores, one_blas_thread):
         # every decimation thread has its own scratch, so the thread cap
         # keeps this bound however many cores the machine has
-        pretend_cores(monkeypatch, 64)
+        pretend_cores(64)
         clip = noise_clip(240000)
         tracemalloc.start()
         try:

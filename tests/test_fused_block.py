@@ -13,7 +13,15 @@ negative, zero or minus zero.
 so neither the pool's nor BatchNorm's input gradient exists at full
 resolution; its gradients must have the bits of the four layer backwards,
 also over tied pool windows and signed zeros.
+
+With OpenBLAS on one thread, the block and the layers share a batch's
+segments over threads. On 1, 2 and 4 threads both must give the bytes the
+layers give on one, no thread may outlive a step, and each further thread
+may hold one segment's scratch more.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -175,8 +183,10 @@ def test_block_backward_skips_the_layer_backwards(monkeypatch):
     assert calls == ["bn_in"]  # the standalone BatchNorm runs its own backward
 
 
-@pytest.mark.parametrize("topology", TOPOLOGIES)
-def test_block_backward_holds_no_full_resolution_gradient(topology):
+def check_block_backward_peak(topology, threads):
+    """Bound the traced peak of one block's backward at batch 8 on
+    ``threads`` threads: what one thread holds, plus what each further
+    thread holds."""
     batch = 8
     (fused, _), shape = block_networks(topology, 0, np.float32, batch)
     conv = fused.layers[0]
@@ -187,12 +197,31 @@ def test_block_backward_holds_no_full_resolution_gradient(topology):
     segment = conv.maps_out * cells * 4  # BatchNorm's input gradient of one segment
     columns = conv.maps_in * conv._taps * cells * 4
     pooled = out.size // batch
+    intp = np.dtype(np.intp).itemsize
     # the ReLU's pooled gradient, every segment's int32 argmax cells, and
     # numpy's intp copies of one segment's indices while they index
-    pooled_arrays = up.nbytes + batch * pooled * 4 + 2 * pooled * np.dtype(np.intp).itemsize
-    assert peak <= dx.nbytes + segment + 2 * columns + pooled_arrays + SLACK
+    pooled_arrays = up.nbytes + batch * pooled * 4 + 2 * pooled * intp
+    bound = dx.nbytes + segment + 2 * columns + pooled_arrays + SLACK
+    # each further thread: its segment, columns, intp index and kernel-gradient
+    # term; and the kernel-gradient terms of every share but the first
+    kernel = conv.kernel.nbytes
+    bound += (threads - 1) * (segment + columns + pooled * intp + kernel)
+    bound += (batch - batch // threads) * kernel if threads > 1 else 0
+    assert peak <= bound
     # the pool's input gradient at full resolution alone would be the batch's segments
     assert peak < batch * segment
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_block_backward_holds_no_full_resolution_gradient(topology, pretend_cores):
+    pretend_cores(1)
+    check_block_backward_peak(topology, 1)
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_block_backward_holds_a_segment_per_thread(topology, pretend_cores, one_blas_thread):
+    pretend_cores(2)
+    check_block_backward_peak(topology, 2)
 
 
 def topology_networks(topology):
@@ -326,6 +355,74 @@ def test_returned_arrays_survive_the_next_step(topology):
         returned.append([(a, a.copy()) for a in (x, out, dx)])
     for kept, copy in returned[0]:
         assert_same_bits(kept, copy, "a step-1 array after step 2")
+
+
+def block_run(net, x, up):
+    """Every array a TRAIN forward, its backward and an INFER forward of
+    ``net`` give: outputs, caches, state and gradients."""
+    arrays = [net.forward(x, TRAIN)]
+    arrays += [layer._cache for layer in net.layers]
+    arrays += [net.backward(up)]
+    arrays += list(net.state().values()) + list(net.grads().values())
+    return arrays + [net.forward(x, INFER)]
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
+@pytest.mark.parametrize("block", range(6))
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_threads_give_the_same_bytes(topology, block, dtype, pretend_cores, one_blas_thread):
+    """The block and the layers' own methods on 1, 2 and 4 threads against
+    the layers' own methods on one: five segments give 4 threads 1 or 2."""
+    runs = []
+    for threads in (1, 2, 4):
+        pretend_cores(threads)
+        nets, shape = block_networks(topology, block, dtype, batch=5)
+        x = seeded_rng(7).normal(size=shape).astype(dtype)
+        up = seeded_rng(8).normal(size=nets[0].forward(x, INFER).shape).astype(dtype)
+        up.reshape(-1)[::5] = -0.0
+        for net in nets:
+            signed_zero_batchnorm(net.layers)
+            runs.append((threads, type(net).__name__, block_run(net, x, up)))
+    _, _, expected = runs[1]  # the layers' own methods on one thread
+    for threads, name, arrays in runs:
+        assert len(arrays) == len(expected)
+        for i, (a, b) in enumerate(zip(arrays, expected)):
+            assert_same_bits(a, b, f"{name} on {threads} threads, array {i}")
+
+
+def test_repeated_threaded_blocks_agree(pretend_cores, one_blas_thread):
+    """Four threads, more than the cores here, switching every microsecond,
+    against one thread; each run on a fresh block, as a TRAIN forward
+    moves the running statistics."""
+    (_, reference), shape = block_networks("nv4x4", 1, np.float32, batch=9)
+    x = seeded_rng(7).normal(size=shape).astype(np.float32)
+    up = seeded_rng(8).normal(size=reference.forward(x, INFER).shape).astype(np.float32)
+    pretend_cores(1)
+    expected = block_run(reference, x, up)
+    pretend_cores(4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            (fused, _), _ = block_networks("nv4x4", 1, np.float32, batch=9)
+            for a, b in zip(block_run(fused, x, up), expected):
+                assert_same_bits(a, b, "a threaded block run")
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_threaded_step_leaves_no_thread(topology, pretend_cores, one_blas_thread):
+    pretend_cores(4)
+    fused, reference = topology_networks(topology)
+    x = seeded_rng(13).normal(size=(6,) + input_grid(topology)).astype(np.float32)
+    before = threading.active_count()
+    losses = [training.batch_loss_and_grads(net, x, np.array([0, 1] * 3), 2.0, 0.5,
+                                            training.L1_PENALTY, training.L2_PENALTY,
+                                            seeded_rng(14).split("dropout"))[0]
+              for net in (fused, reference)]
+    assert threading.active_count() == before
+    assert losses[0] == losses[1]
 
 
 def test_batchnorm_backward_matches_the_formula():

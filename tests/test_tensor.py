@@ -1,8 +1,12 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seizurecnn import tensor
 from seizurecnn.errors import DataError
 from seizurecnn.tensor import (RNG_ALGORITHM_ID, RngStream, check_fields, glorot_uniform,
                                load_arrays, save_arrays, save_json, seeded_rng)
@@ -186,3 +190,69 @@ class TestCheckFields:
             self.check({"n": 1}, ["n", "name"])
         with pytest.raises(DataError, match="^doc must be a mapping$"):
             self.check([1, 2])
+
+
+class TestThreads:
+    @pytest.mark.parametrize("n,cores,lengths", [
+        (10, 3, [3, 3, 4]), (2, 64, [1, 1]), (32, 64, [8] * 4), (5, 1, [5]), (0, 4, [0])])
+    def test_contiguous_near_equal_shares(self, n, cores, lengths, pretend_cores,
+                                          one_blas_thread):
+        pretend_cores(cores)
+        parts = tensor.shares(n)
+        assert [len(p) for p in parts] == lengths
+        assert [i for p in parts for i in p] == list(range(n))
+
+    def test_shares_only_on_one_blas_thread(self, pretend_cores, one_blas_thread):
+        pretend_cores(4)
+        assert len(tensor.shares(8)) == 4
+        tensor._openblas()[1](2)  # inside one_blas_thread, which restores the count after
+        assert tensor.blas_threads() == 2
+        assert tensor.shares(8) == [range(8)]
+
+    def test_calling_thread_takes_the_first_share(self, pretend_cores, one_blas_thread):
+        pretend_cores(3)
+        seen, made = {}, []
+
+        def scratch():
+            made.append(threading.get_ident())
+            return np.zeros(1)
+
+        def work(part, buffer):
+            seen[part] = (threading.get_ident(), buffer)
+
+        before = threading.active_count()
+        tensor.in_threads(tensor.shares(9), work, scratch)
+        assert threading.active_count() == before
+        assert made == [threading.get_ident()] * 3
+        assert seen[range(0, 3)][0] == threading.get_ident()
+        assert len({ident for ident, _ in seen.values()}) > 1
+        assert len({id(buffer) for _, buffer in seen.values()}) == 3
+
+    def test_raises_what_a_share_raised_once_every_thread_ended(self, pretend_cores,
+                                                              one_blas_thread):
+        pretend_cores(4)
+        done = []
+
+        def work(part, _):
+            if part.start == 2:
+                raise ValueError("share 2")
+            time.sleep(0.05)
+            done.append(part.start)
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="share 2"):
+            tensor.in_threads(tensor.shares(4), work)
+        assert threading.active_count() == before
+        assert sorted(done) == [0, 1, 3]
+
+    def test_one_blas_thread_restores_the_count(self):
+        if tensor.blas_threads() is None:
+            pytest.skip("numpy's OpenBLAS thread count cannot be read here")
+        before = tensor.blas_threads()
+        with tensor.one_blas_thread():
+            assert tensor.blas_threads() == 1
+        assert tensor.blas_threads() == before
+        with pytest.raises(KeyError):
+            with tensor.one_blas_thread():
+                raise KeyError("x")
+        assert tensor.blas_threads() == before

@@ -153,6 +153,28 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(**kw).validate()
 
+    @pytest.mark.parametrize("kw", [
+        {"epochs": 2.5},
+        {"epochs": True},
+        {"batch_size": 32.0},
+        {"batch_size": "32"},
+        {"seed": 1.0},
+        {"seed": False},
+        {"learning_rate": 10 ** 400},
+        {"learning_rate": "0.001"},
+        {"learning_rate": True},
+        {"learning_rate": None},
+        {"learning_rate": 1j},
+    ], ids=repr)
+    def test_invalid_types(self, kw):
+        with pytest.raises(ConfigError):
+            TrainConfig(**kw).validate()
+
+    @pytest.mark.parametrize("kw", [{"learning_rate": 1}, {"learning_rate": np.float32(0.01)},
+                                    {"seed": 2 ** 64 - 1}], ids=repr)
+    def test_valid_types(self, kw):
+        TrainConfig(**kw).validate()
+
     def test_replace_revalidates(self):
         with pytest.raises(ConfigError):
             TrainConfig().replace(epochs=-1)
