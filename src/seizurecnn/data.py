@@ -128,11 +128,6 @@ ANTIALIAS_TAPS = np.sinc(0.4 * np.arange(-50, 51)) * np.hamming(101)
 ANTIALIAS_TAPS /= ANTIALIAS_TAPS.sum()
 ANTIALIAS_TAPS.flags.writeable = False
 
-#: the shortest 400 Hz clip, in samples per channel, whose decimation is
-#: shared over threads: 16 channels of 3600 samples took 0.90 ms on one
-#: thread and 1.37 ms on two, of 4000 samples 1.57 and 1.23 ms (2 cores)
-THREADED_DECIMATE_SAMPLES = 4000
-
 
 def _mirror(index: np.ndarray, n: int) -> np.ndarray:
     """The sample of an n-sample row that each index of its symmetric
@@ -152,10 +147,8 @@ def decimate(clip: Clip) -> Clip:
     ones, each correlation an FFT product in 64-bit.
 
     Channels are shared out over threads with ``tensor.in_threads`` (np.fft
-    releases the GIL), but a clip shorter than ``THREADED_DECIMATE_SAMPLES``
-    runs on one thread, where a second gains nothing. Every channel takes
-    the same steps on any thread count, so the output bytes do not depend
-    on it.
+    releases the GIL). Every channel takes the same steps on any thread
+    count, so the output bytes do not depend on it.
     """
     if clip.sample_rate_hz != INGEST_RATE_HZ:
         raise DataError(f"decimate expects a {INGEST_RATE_HZ:g} Hz clip, "
@@ -198,8 +191,7 @@ def decimate(clip: Clip) -> Clip:
             series = np.fft.irfft(spectrum, nfft, out=padded[:nfft])
             out[c] = series[:n_out]
 
-    parts = shares(n_channels) if n_samples >= THREADED_DECIMATE_SAMPLES else [range(n_channels)]
-    in_threads(parts, work, scratch)
+    in_threads(shares(n_channels), work, scratch)
     return Clip(out, TARGET_RATE_HZ, clip.label)
 
 

@@ -51,7 +51,7 @@ class TrainConfig:
         input_grid(self.topology)  # the one check for an unknown topology
         for name in ("seed", "epochs", "batch_size"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if isinstance(self.learning_rate, bool) or not isinstance(self.learning_rate,
                                                                   numbers.Real):

@@ -19,8 +19,16 @@ def pretend_cores(monkeypatch):
 
 @pytest.fixture
 def one_blas_thread():
-    """OpenBLAS on one thread for the test, its count restored after."""
-    if tensor.blas_threads() is None:
-        pytest.skip("numpy's OpenBLAS thread count cannot be read here")
+    """OpenBLAS on one thread for the test, its count restored after. Where
+    numpy's OpenBLAS cannot be set, nothing is set and the code under test
+    takes its serial path."""
     with tensor.one_blas_thread():
         yield
+
+
+@pytest.fixture
+def shared_path(one_blas_thread):
+    """As ``one_blas_thread``, for a test that needs ``tensor.shares`` to
+    share: it skips where OpenBLAS cannot be set to one thread."""
+    if tensor.blas_threads() != 1:
+        pytest.skip("numpy's OpenBLAS cannot be set to one thread here")

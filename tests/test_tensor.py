@@ -196,20 +196,20 @@ class TestThreads:
     @pytest.mark.parametrize("n,cores,lengths", [
         (10, 3, [3, 3, 4]), (2, 64, [1, 1]), (32, 64, [8] * 4), (5, 1, [5]), (0, 4, [0])])
     def test_contiguous_near_equal_shares(self, n, cores, lengths, pretend_cores,
-                                          one_blas_thread):
+                                          shared_path):
         pretend_cores(cores)
         parts = tensor.shares(n)
         assert [len(p) for p in parts] == lengths
         assert [i for p in parts for i in p] == list(range(n))
 
-    def test_shares_only_on_one_blas_thread(self, pretend_cores, one_blas_thread):
+    def test_shares_only_on_one_blas_thread(self, pretend_cores, shared_path):
         pretend_cores(4)
         assert len(tensor.shares(8)) == 4
-        tensor._openblas()[1](2)  # inside one_blas_thread, which restores the count after
+        tensor._openblas()[1](2)  # inside shared_path, which restores the count after
         assert tensor.blas_threads() == 2
         assert tensor.shares(8) == [range(8)]
 
-    def test_calling_thread_takes_the_first_share(self, pretend_cores, one_blas_thread):
+    def test_calling_thread_takes_the_first_share(self, pretend_cores, shared_path):
         pretend_cores(3)
         seen, made = {}, []
 
@@ -229,7 +229,7 @@ class TestThreads:
         assert len({id(buffer) for _, buffer in seen.values()}) == 3
 
     def test_raises_what_a_share_raised_once_every_thread_ended(self, pretend_cores,
-                                                              one_blas_thread):
+                                                              shared_path):
         pretend_cores(4)
         done = []
 

@@ -1,12 +1,15 @@
 """Run artifacts depend neither on the BLAS thread count nor on the cores.
 
 Each topology is trained for two epochs and evaluated in a child process;
-the parameters, report and ROC must have the same bytes at one and at two
-OpenBLAS threads, and in a child pinned to one core as in one on every
-core. A kernel whose sums follow the thread count, such as a GEMM split
-over its inner dimension, or a batch's segments summed in another order
-when shared over threads, would break this. ``cli.main`` holds OpenBLAS
-on one thread while a command runs and restores its count after.
+the parameters, report and ROC must have the same bytes in a child pinned
+to one core as in one on every core. ``cli.main`` holds OpenBLAS on one
+thread while a command runs and restores its count after, so the BLAS
+count is varied on the library path: the command functions called without
+``cli.main`` at one OpenBLAS thread, where the layers share a batch's
+segments over the cores, and at two, where they run serially. A kernel
+whose sums follow the thread count, such as a GEMM split over its inner
+dimension, or a batch's segments summed in another order when shared over
+threads, would break this.
 """
 
 import hashlib
@@ -23,7 +26,7 @@ from seizurecnn.topologies import TOPOLOGIES
 CYCLE = """
 import os, sys
 from seizurecnn import cli
-manifest, out, one_core, *topologies = sys.argv[1:]
+manifest, out, one_core, via_main, *topologies = sys.argv[1:]
 if one_core == "1":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     assert len(os.sched_getaffinity(0)) == 1
@@ -32,7 +35,12 @@ for topology in topologies:
     for argv in (["train", "--manifest", manifest, "--subject", "synth01",
                   "--topology", topology, "--epochs", "2", "--out", out],
                  ["evaluate", "--run", run]):
-        if cli.main(argv) != 0:
+        if via_main == "1":
+            code = cli.main(argv)
+        else:  # OpenBLAS keeps the thread count it started with
+            args = cli.build_parser().parse_args(argv)
+            code = args.func(args)
+        if code != 0:
             sys.exit(f"{argv[0]} failed for {topology}")
 """
 
@@ -50,20 +58,21 @@ def manifest(tmp_path_factory):
     return cooked / "manifest.json"
 
 
-def _cycle_digests(manifest: Path, out: Path, one_core=False, **env) -> dict:
-    """Train and evaluate every topology in a child; each artifact's sha256."""
+def _cycle_digests(manifest: Path, out: Path, one_core=False, via_main=True, **env) -> dict:
+    """Train and evaluate every topology in a child, through ``cli.main`` or
+    else the command functions alone; each artifact's sha256."""
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, **env,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     subprocess.run([sys.executable, "-c", CYCLE, str(manifest), str(out),
-                    "1" if one_core else "0", *TOPOLOGIES],
+                    "1" if one_core else "0", "1" if via_main else "0", *TOPOLOGIES],
                    env=env, stdout=subprocess.DEVNULL, check=True)
     return {f"{t}/{name}": hashlib.sha256((out / f"synth01_{t}_s0000" / name).read_bytes())
             .hexdigest() for t in TOPOLOGIES for name in COMPARED}
 
 
 def test_one_and_two_blas_threads_give_the_same_bytes(manifest, tmp_path):
-    digests = [_cycle_digests(manifest, tmp_path / f"runs_{threads}",
+    digests = [_cycle_digests(manifest, tmp_path / f"runs_{threads}", via_main=False,
                               OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
                for threads in ("1", "2")]
     assert digests[0] == digests[1]

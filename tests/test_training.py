@@ -171,7 +171,8 @@ class TestTrainConfig:
             TrainConfig(**kw).validate()
 
     @pytest.mark.parametrize("kw", [{"learning_rate": 1}, {"learning_rate": np.float32(0.01)},
-                                    {"seed": 2 ** 64 - 1}], ids=repr)
+                                    {"seed": 2 ** 64 - 1}, {"seed": np.int64(3)},
+                                    {"epochs": np.uint8(2)}], ids=repr)
     def test_valid_types(self, kw):
         TrainConfig(**kw).validate()
 
