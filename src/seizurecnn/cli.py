@@ -229,6 +229,8 @@ def _load_trained(run_dir: Path, manifest_path: str | None):
         network.load_state(load_arrays(run_dir / PARAMS_FILE))
     except FileNotFoundError as exc:
         raise DataError(f"{run_dir} has no {PARAMS_FILE}") from exc
+    except OSError as exc:  # a directory in its place, no read permission
+        raise DataError(f"cannot read {run_dir / PARAMS_FILE}: {exc}") from exc
     except (zipfile.BadZipFile, ValueError, KeyError) as exc:
         raise DataError(f"{run_dir}/{PARAMS_FILE} is corrupt: {exc}") from exc
     return run, manifest, layout, network
@@ -253,8 +255,12 @@ def cmd_predict(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    manifest = generate_synthetic(args.out, train_clips=args.clips, test_clips=args.test_clips,
-                                  minutes=args.minutes, seed=_seeds(args.seed)[0])
+    seed = _seeds(args.seed)[0]
+    try:
+        manifest = generate_synthetic(args.out, train_clips=args.clips,
+                                      test_clips=args.test_clips, minutes=args.minutes, seed=seed)
+    except OSError as exc:  # synth writes in place, not through _commit
+        raise SeizureCnnError(f"cannot write {args.out}: {exc}") from exc
     print(Path(args.out) / "manifest.json")
     print(f"{len(manifest.clips)} clips for {len(manifest.subjects())} subject(s)")
     return 0

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ClipFormatError, ConfigError, DataError, ManifestError
 from .tensor import (FLOAT32, RngStream, Tensor, check_fields, in_threads, load_json,
-                     save_json, seeded_rng, shares)
+                     save_json, seeded_rng)
 from .topologies import N_CHANNELS, SEGMENT_SAMPLES, ElectrodeLayout
 
 INGEST_RATE_HZ = 400.0
@@ -146,9 +146,10 @@ def decimate(clip: Clip) -> Clip:
     the even taps over the even samples plus the odd taps over the odd
     ones, each correlation an FFT product in 64-bit.
 
-    Channels are shared out over threads with ``tensor.in_threads`` (np.fft
-    releases the GIL). Every channel takes the same steps on any thread
-    count, so the output bytes do not depend on it.
+    The body decimates one channel; ``tensor.in_threads`` runs it over the
+    channels, shared out over threads (np.fft releases the GIL). Every
+    channel takes the same steps on any thread count, so the output bytes
+    do not depend on it.
     """
     if clip.sample_rate_hz != INGEST_RATE_HZ:
         raise DataError(f"decimate expects a {INGEST_RATE_HZ:g} Hz clip, "
@@ -176,22 +177,21 @@ def decimate(clip: Clip) -> Clip:
         return (np.empty(n_samples + 2 * half), np.empty(nfft // 2 + 1, np.complex128),
                 np.empty(nfft // 2 + 1, np.complex128))
 
-    def work(channels, buffers) -> None:
+    def work(c, buffers) -> None:
         padded, spectrum, odd_spectrum = buffers
-        for c in channels:
-            row = clip.samples[c]
-            padded[half:half + n_samples] = row
-            padded[:half] = row[left]
-            padded[half + n_samples:] = row[right]
-            np.fft.rfft(padded[0::2], nfft, out=spectrum)
-            np.fft.rfft(padded[1::2], nfft, out=odd_spectrum)
-            np.multiply(spectrum, even, out=spectrum)
-            np.multiply(odd_spectrum, odd, out=odd_spectrum)
-            np.add(spectrum, odd_spectrum, out=spectrum)
-            series = np.fft.irfft(spectrum, nfft, out=padded[:nfft])
-            out[c] = series[:n_out]
+        row = clip.samples[c]
+        padded[half:half + n_samples] = row
+        padded[:half] = row[left]
+        padded[half + n_samples:] = row[right]
+        np.fft.rfft(padded[0::2], nfft, out=spectrum)
+        np.fft.rfft(padded[1::2], nfft, out=odd_spectrum)
+        np.multiply(spectrum, even, out=spectrum)
+        np.multiply(odd_spectrum, odd, out=odd_spectrum)
+        np.add(spectrum, odd_spectrum, out=spectrum)
+        series = np.fft.irfft(spectrum, nfft, out=padded[:nfft])
+        out[c] = series[:n_out]
 
-    in_threads(shares(n_channels), work, scratch)
+    in_threads(n_channels, work, scratch)
     return Clip(out, TARGET_RATE_HZ, clip.label)
 
 

@@ -52,20 +52,22 @@ rounding to nearest is symmetric in sign; the running maximum is negated
 back on the pooled tensor.  A zero whose sign differs on the way is made
 ``+0`` by the ReLU, as in the layers.
 
-Every per-segment loop (Conv's forward and backward, BatchNorm's batch
-sums, the TRAIN and INFER blocks and both backward passes) shares the
-batch's segments over threads with ``tensor.in_threads``: contiguous
-shares, one per usable core up to four, each thread with its own scratch
-from the calling thread.  It does so only while OpenBLAS runs one thread,
-as every command makes it; otherwise the loops run on the calling thread.
-The bits cannot change with the thread count.  Each segment's results go
-to rows of their own (``out[b]``, the argmax, BatchNorm's sums, the
+Every per-segment step (Conv's forward and backward, BatchNorm's batch
+sums, the TRAIN and INFER blocks and both backward passes) is a body that
+says what happens to segment b, given its thread's scratch;
+``tensor.in_threads`` runs it over the batch, sharing the segments over
+threads as ``tensor.shares`` cuts them: contiguous shares, one per usable
+core up to four, each thread with its own scratch from the calling
+thread.  It does so only while OpenBLAS runs one thread, as every command
+makes it; otherwise every segment runs on the calling thread.  The bits
+cannot change with the thread count.  Each segment's results go to rows
+of their own (``out[b]`` with its bias, the argmax, BatchNorm's sums, the
 ``g_bias`` rows, ``dx[b]``), reduced over the batch afterwards in batch
 order, and the kernel gradient adds the segments' terms in batch order:
-the first share adds its own as it goes, the later shares keep theirs for
-the calling thread to add after.  With one BLAS thread, no GEMM or dot
-splits its own sums over threads either; a float64 dot of ``_rowdot``
-would otherwise follow the BLAS thread count.
+the first share, on the calling thread, adds its own as it goes, the
+later shares keep theirs for the calling thread to add after.  With one
+BLAS thread, no GEMM or dot splits its own sums over threads either; a
+float64 dot of ``_rowdot`` would otherwise follow the BLAS thread count.
 
 A layer names its persistent arrays once, in ``param_keys`` (learned,
 with the gradient of ``key`` in ``g_<key>``) and ``buffer_keys`` (kept
@@ -193,10 +195,11 @@ class Conv(Layer):
     (map, *tap) order, taps in ``np.ndindex(*extents)`` order: the row order
     of ``kernel.reshape(maps_out, -1)``.  Each product is one GEMM per
     segment, as numpy's batched GEMM is, so the bits are the same; the
-    kernel gradient sums the segments' products in batch order from the
-    first, as ``sum(axis=0)`` does.  TRAIN caches the input, which Conv
-    never writes; backward rebuilds the columns from it and forms their
-    gradient in their scratch.
+    kernel gradient sums the segments' products in batch order, starting
+    from the first product.  ``sum(axis=0)`` starts from +0.0 instead, so
+    an entry that is -0.0 in every term would come out +0.0.  TRAIN caches
+    the input, which Conv never writes; backward rebuilds the columns from
+    it and forms their gradient in their scratch.
     """
 
     param_keys = ("kernel", "bias")
@@ -238,15 +241,13 @@ class Conv(Layer):
         its padding cells must hold zeros whenever ``_columns`` fills it."""
         return np.zeros((1, self.maps_in, self._taps) + x.shape[2:], dtype=x.dtype)
 
-    def _columns(self, x: Tensor, segments, cols: Tensor):
-        """The columns of each of ``segments`` of ``x`` in turn, all in
-        ``cols``, a ``_scratch`` whose padding cells, which no segment
-        writes, stay zero."""
-        taps = list(self._taps_at(x.shape[2:]))
-        for b in segments:
-            for t, (out, src, _) in enumerate(taps):
-                cols[:, :, t][out] = x[b:b + 1][src]
-            yield cols.reshape(self.maps_in * self._taps, -1)
+    def _columns(self, x: Tensor, b: int, cols: Tensor, taps: list) -> Tensor:
+        """Segment b of ``x`` as columns, (maps_in * taps, cells), a view of
+        ``cols``: a ``_scratch`` whose padding cells, which no segment
+        writes, stay zero. ``taps`` is ``list(self._taps_at(x.shape[2:]))``."""
+        for t, (out, src, _) in enumerate(taps):
+            cols[:, :, t][out] = x[b:b + 1][src]
+        return cols.reshape(self.maps_in * self._taps, -1)
 
     def _check(self, x: Tensor) -> None:
         rank = len(self.extents)
@@ -259,13 +260,13 @@ class Conv(Layer):
         self._check(x)
         kernel = self.kernel.reshape(self.maps_out, -1)
         out = np.empty((x.shape[0], self.maps_out, int(np.prod(x.shape[2:]))), dtype=x.dtype)
+        taps = list(self._taps_at(x.shape[2:]))
 
-        def work(segments, cols):
-            for b, c in zip(segments, self._columns(x, segments, cols)):
-                np.matmul(kernel, c, out=out[b])
+        def work(b, cols):
+            np.matmul(kernel, self._columns(x, b, cols, taps), out=out[b])
+            out[b] += self.bias[:, None]
 
-        in_threads(shares(x.shape[0]), work, lambda: self._scratch(x))
-        out += self.bias[:, None]
+        in_threads(x.shape[0], work, lambda: self._scratch(x))
         return self._keep(mode, out.reshape((x.shape[0], self.maps_out) + x.shape[2:]), x)
 
     def backward(self, upstream: Tensor) -> Tensor:
@@ -283,34 +284,34 @@ class Conv(Layer):
         g_bias = np.empty((x.shape[0], self.maps_out), dtype=x.dtype)
         dx = np.zeros(x.shape, dtype=x.dtype)
         taps = list(self._taps_at(x.shape[2:]))
-        parts = shares(x.shape[0])
-        # the first share adds each segment's kernel-gradient term to
-        # g_kernel as it goes; the later shares keep theirs for the caller
-        first = len(parts[0])
+        # the first share, which in_threads runs on this thread, adds each
+        # segment's kernel-gradient term to g_kernel as it goes; the later
+        # shares keep theirs for this thread to add after
+        first = len(shares(x.shape[0])[0])
         later = np.empty((x.shape[0] - first,) + g_kernel.shape, dtype=x.dtype)
 
         def buffers():
             return self._scratch(x), np.empty_like(g_kernel), scratch()
 
-        def work(segments, buffers):
+        def work(b, buffers):
             cols, term, extra = buffers
-            for b, c in zip(segments, self._columns(x, segments, cols)):
-                up = upstream(b, extra)
-                up.sum(axis=1, out=g_bias[b])
-                # start from the first term: zero plus it would turn -0.0 into +0.0
-                np.matmul(up, c.T, out=later[b - first] if b >= first else
-                          g_kernel if b == 0 else term)
-                if 0 < b < first:
-                    np.add(g_kernel, term, out=g_kernel)
-                # the columns' gradient takes the columns' place, and their
-                # padding cells, which it writes too, are zeroed again
-                np.matmul(kernel_t, up, out=c)
-                for t, (out, src, padding) in enumerate(taps):
-                    dx[b:b + 1][src] += cols[:, :, t][out]
-                    for slab in padding:
-                        cols[:, :, t][slab] = 0
+            c = self._columns(x, b, cols, taps)
+            up = upstream(b, extra)
+            up.sum(axis=1, out=g_bias[b])
+            # start from the first term: zero plus it would turn -0.0 into +0.0
+            np.matmul(up, c.T, out=later[b - first] if b >= first else
+                      g_kernel if b == 0 else term)
+            if 0 < b < first:
+                np.add(g_kernel, term, out=g_kernel)
+            # the columns' gradient takes the columns' place, and their
+            # padding cells, which it writes too, are zeroed again
+            np.matmul(kernel_t, up, out=c)
+            for t, (out, src, padding) in enumerate(taps):
+                dx[b:b + 1][src] += cols[:, :, t][out]
+                for slab in padding:
+                    cols[:, :, t][slab] = 0
 
-        in_threads(parts, work, buffers)
+        in_threads(x.shape[0], work, buffers)
         for term in later:  # in batch order
             g_kernel += term
         self.g_bias = g_bias.sum(axis=0)
@@ -456,18 +457,16 @@ class BatchNorm(Layer):
         centred = np.empty(x3.shape, dtype=x3.dtype) if out is None else out
         rows = np.empty(x3.shape[:2], dtype=x3.dtype)  # per segment and map
 
-        def sums(segments, _):
-            for b in segments:
-                x3[b].sum(axis=1, out=rows[b])
+        def sums(b, _):
+            x3[b].sum(axis=1, out=rows[b])
 
-        def dots(segments, _):
-            for b in segments:
-                np.subtract(x3[b], mean[:, None], out=centred[b])
-                rows[b] = _rowdot(centred[b], centred[b])
+        def dots(b, _):
+            np.subtract(x3[b], mean[:, None], out=centred[b])
+            rows[b] = _rowdot(centred[b], centred[b])
 
-        in_threads(shares(x3.shape[0]), sums)
+        in_threads(x3.shape[0], sums)
         mean = rows.sum(axis=0) / count
-        in_threads(shares(x3.shape[0]), dots)
+        in_threads(x3.shape[0], dots)
         var = rows.sum(axis=0) / count
         self.running_mean[...] = (1.0 - self.momentum) * self.running_mean + self.momentum * mean
         self.running_var[...] = (1.0 - self.momentum) * self.running_var + self.momentum * var
@@ -535,14 +534,13 @@ def _train_block(x: Tensor, bn: BatchNorm, pool: MaxPool, relu: ReLU) -> Tensor:
                  np.empty((1,) + out.shape[1:], dtype=bool))
         return segment.reshape(xhat.shape[1:]), pool._views(segment), flags
 
-    def work(segments, buffers):
+    def work(b, buffers):
         segment, views, flags = buffers
-        for b in segments:
-            xhat[b] *= inv_std[:, None]
-            bn._affine(xhat[b], out=segment)
-            pool._pool(views, out[b:b + 1], argmax[b:b + 1], flags)
+        xhat[b] *= inv_std[:, None]
+        bn._affine(xhat[b], out=segment)
+        pool._pool(views, out[b:b + 1], argmax[b:b + 1], flags)
 
-    in_threads(shares(x.shape[0]), work, scratch)
+    in_threads(x.shape[0], work, scratch)
     bn._keep(TRAIN, x, xhat, inv_std)
     pool._keep(TRAIN, out, argmax, x.shape)
     return relu.forward(out, TRAIN)
@@ -563,18 +561,18 @@ def _conv_block(x: Tensor, mode: str, conv: Conv, bn: BatchNorm, pool: MaxPool,
     scale, shift = bn._folded()
     sign = np.where(scale < 0, x.dtype.type(-1), x.dtype.type(1))[:, None]
     kernel = conv.kernel.reshape(conv.maps_out, -1) * sign
+    taps = list(conv._taps_at(x.shape[2:]))
 
     def scratch():
         segment = np.empty(shape, dtype=x.dtype)
         return conv._scratch(x), segment.reshape(conv.maps_out, -1), pool._views(segment)
 
-    def work(segments, buffers):
+    def work(b, buffers):
         cols, segment, views = buffers
-        for b, c in zip(segments, conv._columns(x, segments, cols)):
-            np.matmul(kernel, c, out=segment)
-            pool._pool(views, out[b:b + 1], None)
+        np.matmul(kernel, conv._columns(x, b, cols, taps), out=segment)
+        pool._pool(views, out[b:b + 1], None)
 
-    in_threads(shares(x.shape[0]), work, scratch)
+    in_threads(x.shape[0], work, scratch)
     pooled *= sign
     pooled += conv.bias[:, None]
     pooled *= scale[:, None]
@@ -614,14 +612,13 @@ def _block_backward(up: Tensor, conv: Conv, bn: BatchNorm, pool: MaxPool, relu: 
         segment.reshape(-1)[index.reshape(-1)] = up[b].reshape(-1)
         return segment
 
-    def first_pass(segments, buffers):
-        for b in segments:
-            pool._argmax_cells(argmax[b], first, offset, cells[b], buffers[1])
-            segment = scattered(b, buffers)
-            g_gamma[b] = _rowdot(segment, xhat[b])
-            segment.sum(axis=1, out=g_beta[b])
+    def first_pass(b, buffers):
+        pool._argmax_cells(argmax[b], first, offset, cells[b], buffers[1])
+        segment = scattered(b, buffers)
+        g_gamma[b] = _rowdot(segment, xhat[b])
+        segment.sum(axis=1, out=g_beta[b])
 
-    in_threads(shares(in_shape[0]), first_pass, scratch)
+    in_threads(in_shape[0], first_pass, scratch)
     # BatchNorm.backward's reductions, in its order
     bn.g_gamma = g_gamma.sum(axis=0)
     bn.g_beta = g_beta.sum(axis=0)

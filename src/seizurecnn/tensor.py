@@ -19,12 +19,14 @@ indented with sorted keys and a trailing newline, so equal contents give
 equal bytes. Every reader checks a document's keys and value types with
 one function, ``check_fields``.
 
-``shares`` and ``in_threads`` share a call's items over the cores the
-process may run on, but only while numpy's OpenBLAS runs one thread
-(``one_blas_thread``, as every command sets it): BLAS threads beside ours
-would compete for the same cores, and a float64 dot's bits follow the BLAS
-thread count. So a library caller that leaves BLAS as it is runs on its
-own thread alone.
+``in_threads`` runs a per-item body over a call's items, cut by ``shares``
+into contiguous shares, one per core the process may run on, but only
+while numpy's OpenBLAS runs one thread (``one_blas_thread``, as every
+command sets it): BLAS threads beside ours would compete for the same
+cores, and a float64 dot's bits follow the BLAS thread count. So a library
+caller that leaves BLAS as it is runs on its own thread alone. How items
+are cut into shares is known here alone; a caller says only what happens
+to item ``i``.
 """
 
 from __future__ import annotations
@@ -244,20 +246,27 @@ def shares(n: int) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def in_threads(parts: list[range], work: Callable, scratch: Callable = tuple) -> None:
-    """Call ``work(part, buffers)`` for each of ``parts``: the calling
-    thread takes the first, a pool of one thread fewer than there are
-    parts the others. Every thread has ended on return, which raises what
-    a part raised.
+def in_threads(n: int, work: Callable, scratch: Callable = tuple) -> None:
+    """Call ``work(i, buffers)`` for each ``i`` of ``range(n)``, each share
+    of ``shares(n)`` on a thread of its own, its items in order: the
+    calling thread takes the first share, a pool of one thread fewer than
+    there are shares the others. Every thread has ended on return, which
+    raises what an item raised.
 
-    ``scratch()`` makes each thread's ``buffers``; it runs here, in the
-    calling thread, so no worker allocates a large array. The parts must
-    not write the same memory."""
+    ``scratch()`` makes each share's ``buffers``, which all its items get;
+    it runs here, in the calling thread, so no worker allocates a large
+    array. Items of different shares must not write the same memory."""
+    parts = shares(n)
     buffers = [scratch() for _ in parts]
+
+    def walk(part: range, buffers) -> None:
+        for i in part:
+            work(i, buffers)
+
     if len(parts) == 1:
-        work(parts[0], buffers[0])
+        walk(parts[0], buffers[0])
         return
     with ThreadPoolExecutor(len(parts) - 1) as pool:
-        rest = pool.map(work, parts[1:], buffers[1:])
-        work(parts[0], buffers[0])
+        rest = pool.map(walk, parts[1:], buffers[1:])
+        walk(parts[0], buffers[0])
         list(rest)

@@ -82,6 +82,14 @@ class TestSynth:
         assert "2 clips for 1 subject(s)" in stdout
         assert Manifest.load(out / "manifest.json").subjects() == ["synth01"]
 
+    def test_out_names_a_file(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("x")
+        assert cli.main(["synth", "--out", str(out), "--clips", "1", "--test-clips", "0"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}: ")
+        assert out.read_text() == "x"
+
     @pytest.mark.parametrize("flag, count, message", [
         ("--test-clips", "-1", "test clips per class cannot be negative, got -1"),
         ("--clips", "0", "need at least one training clip per class, got 0"),
@@ -450,11 +458,19 @@ class TestEvaluate:
             layout_path.write_bytes(original)
         assert cli.main(["evaluate", "--run", str(run_dir)]) == 0
 
-    def test_missing_parameters_file(self, run_dir, tmp_path):
+    @pytest.mark.parametrize("make, message", [
+        (None, "has no parameters.npz"),
+        (Path.mkdir, "cannot read"),
+    ], ids=["absent", "directory"])
+    def test_missing_parameters_file(self, make, message, run_dir, tmp_path, capsys):
         clone = tmp_path / "clone"
         clone.mkdir()
         (clone / "run.json").write_bytes((run_dir / "run.json").read_bytes())
+        if make is not None:
+            make(clone / "parameters.npz")
         assert cli.main(["evaluate", "--run", str(clone)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
 
     def test_corrupt_run_manifest(self, run_dir, tmp_path):
         clone = tmp_path / "clone"

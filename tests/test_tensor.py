@@ -217,31 +217,61 @@ class TestThreads:
             made.append(threading.get_ident())
             return np.zeros(1)
 
-        def work(part, buffer):
-            seen[part] = (threading.get_ident(), buffer)
+        def work(i, buffer):
+            seen[i] = (threading.get_ident(), buffer)
 
         before = threading.active_count()
-        tensor.in_threads(tensor.shares(9), work, scratch)
+        tensor.in_threads(9, work, scratch)
         assert threading.active_count() == before
         assert made == [threading.get_ident()] * 3
-        assert seen[range(0, 3)][0] == threading.get_ident()
+        assert {seen[i][0] for i in range(3)} == {threading.get_ident()}
         assert len({ident for ident, _ in seen.values()}) > 1
         assert len({id(buffer) for _, buffer in seen.values()}) == 3
+
+    @pytest.mark.parametrize("n,cores", [(10, 3), (9, 4), (3, 2), (1, 4)])
+    def test_each_item_runs_once_in_order_within_its_share(self, n, cores, pretend_cores,
+                                                          shared_path):
+        pretend_cores(cores)
+        made, runs = [], []
+
+        def scratch():
+            made.append(np.zeros(1))
+            return made[-1]
+
+        def work(i, buffer):
+            runs.append((i, id(buffer), threading.get_ident()))
+            time.sleep(0.001)
+
+        tensor.in_threads(n, work, scratch)
+        parts = tensor.shares(n)
+        # by buffer set, not by thread: the pool may run two later shares on one worker
+        items = {id(buffer): [] for buffer in made}
+        for i, buffer, _ in runs:
+            items[buffer].append(i)
+        assert list(items.values()) == [list(part) for part in parts]
+        assert [i for i, _, ident in runs if ident == threading.get_ident()] == list(parts[0])
+
+    def test_no_items_call_nothing_and_start_no_thread(self, pretend_cores, monkeypatch):
+        pretend_cores(4)
+        monkeypatch.setattr(tensor, "ThreadPoolExecutor", None)  # calling it would raise
+        called = []
+        tensor.in_threads(0, lambda i, buffers: called.append(i))
+        assert called == []
 
     def test_raises_what_a_share_raised_once_every_thread_ended(self, pretend_cores,
                                                               shared_path):
         pretend_cores(4)
         done = []
 
-        def work(part, _):
-            if part.start == 2:
-                raise ValueError("share 2")
+        def work(i, _):
+            if i == 2:
+                raise ValueError("item 2")
             time.sleep(0.05)
-            done.append(part.start)
+            done.append(i)
 
         before = threading.active_count()
-        with pytest.raises(ValueError, match="share 2"):
-            tensor.in_threads(tensor.shares(4), work)
+        with pytest.raises(ValueError, match="item 2"):
+            tensor.in_threads(4, work)
         assert threading.active_count() == before
         assert sorted(done) == [0, 1, 3]
 
