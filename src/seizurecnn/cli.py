@@ -101,11 +101,6 @@ class RunManifest:
         return run
 
 
-def _require_subject(manifest: Manifest, subject: str) -> None:
-    if subject not in manifest.subjects():
-        raise DataError(f"unknown subject {subject!r}; manifest has {manifest.subjects()}")
-
-
 def _seeds(text: str, ranges: bool = False) -> range:
     """The seeds a ``--seed`` names: one seed S or, with ``ranges``, an
     inclusive range A..B. Each is ASCII digits with a value below 2**64."""
@@ -183,7 +178,7 @@ def _train_one(cfg: TrainConfig, manifest_path: str, subject: str, layout,
     run_dir = Path(out) / f"{subject}_{cfg.topology}_s{cfg.seed:04d}"
     run = RunManifest(
         subject=subject, topology=cfg.topology, seed=cfg.seed,
-        config=cfg.to_mapping(), data_manifest=os.path.abspath(manifest_path),
+        config=dataclasses.asdict(cfg), data_manifest=os.path.abspath(manifest_path),
         layout_sha256=layout.content_hash() if layout is not None else None,
         artifacts={"parameters": PARAMS_FILE, "history": HISTORY_FILE,
                    "report": REPORT_FILE, "roc": ROC_FILE})
@@ -199,7 +194,6 @@ def cmd_train(args) -> int:
                       learning_rate=args.learning_rate).validate()
     seeds = _seeds(args.seed, ranges=True)
     manifest = Manifest.load(args.manifest)
-    _require_subject(manifest, args.subject)
     layout = manifest.layout_for(args.subject)
     train_batch, _ = load_split_segments(manifest, args.subject, "train")
     code = 0
@@ -333,7 +327,7 @@ def cmd_report(args) -> int:
                         f"report pools one split at a time")
 
     groups = {key: aggregate_runs(group) for key, group in sorted(reports.items())}
-    aggregates = {"groups": [g.to_mapping() for g in groups.values()],
+    aggregates = {"groups": [dataclasses.asdict(g) for g in groups.values()],
                   "skipped": sorted(skipped), "split": splits[0]}
 
     def write_table(path):
@@ -351,8 +345,8 @@ def cmd_report(args) -> int:
 
     for g in groups.values():
         print(f"{g.subject} {g.topology}: n={len(g.aucs)} mean={g.mean:.4f} "
-              f"min={g.minimum:.4f} q1={g.q1:.4f} median={g.median:.4f} "
-              f"q3={g.q3:.4f} max={g.maximum:.4f}")
+              f"min={g.min:.4f} q1={g.q1:.4f} median={g.median:.4f} "
+              f"q3={g.q3:.4f} max={g.max:.4f}")
     if skipped:
         print("skipped (no report):")
         for s in sorted(skipped):

@@ -335,13 +335,18 @@ class Manifest:
 
     def labeled_split(self, subject: str, split: str) -> list[ClipRecord]:
         """The subject's records in ``split``; a DataError when there are
-        none or one of them is unlabeled."""
+        none, one of them is unlabeled or a class has none of them."""
         records = self.select(subject=subject, split=split)
         if not records:
-            raise DataError(f"no {split} clips for subject {subject!r} in manifest")
+            raise DataError(f"no {split} clips for subject {subject!r}; "
+                            f"manifest has {self.subjects()}")
         for r in records:
             if r.label == "unknown":
                 raise DataError(f"{r.path}: {split} clip is unlabeled")
+        for label in ("preictal", "interictal"):
+            if all(r.label != label for r in records):
+                raise DataError(f"no {label} {split} clips for subject {subject!r}; "
+                                f"a labeled split needs both classes")
         return records
 
     def save(self, path) -> None:
@@ -354,10 +359,9 @@ class Manifest:
 
         clips = []
         for r in self.clips:
-            row = {"path": rel(r.path), "subject": r.subject, "label": r.label,
-                   "split": r.split}
-            if r.group is not None:
-                row["group"] = r.group
+            row = dataclasses.asdict(r) | {"path": rel(r.path)}
+            if r.group is None:  # load reads a missing group as None
+                del row["group"]
             clips.append(row)
         save_json(path, {"clips": clips,
                          "layouts": {s: rel(p) for s, p in sorted(self.layouts.items())}})

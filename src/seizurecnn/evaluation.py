@@ -14,7 +14,7 @@ seeds record the five-number summary with linear-interpolation quartiles.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -111,10 +111,7 @@ class EvaluationReport:
             "auc": self.auc,
             "n_preictal": self.n_preictal,
             "n_interictal": self.n_interictal,
-            "clips": [{"clip_id": p.clip_id, "label": p.label,
-                       "clip_probability": p.clip_probability,
-                       "segment_probabilities": p.segment_probabilities}
-                      for p in self.predictions],
+            "clips": [asdict(p) for p in self.predictions],
             "roc": {"fpr": self.roc_fpr, "tpr": self.roc_tpr,
                     "thresholds": [repr(t) for t in self.roc_thresholds]},
         }
@@ -218,19 +215,12 @@ class RunAggregate:
     topology: str
     aucs: list[float]
     mean: float
-    minimum: float
+    min: float
     q1: float
     median: float
     q3: float
-    maximum: float
+    max: float
     quartile_method: str = QUARTILE_METHOD
-
-    def to_mapping(self) -> dict:
-        return {"subject": self.subject, "topology": self.topology,
-                "aucs": self.aucs, "mean": self.mean,
-                "min": self.minimum, "q1": self.q1, "median": self.median,
-                "q3": self.q3, "max": self.maximum,
-                "quartile_method": self.quartile_method}
 
 
 def aggregate_runs(reports: list[EvaluationReport]) -> RunAggregate:

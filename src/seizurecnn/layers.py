@@ -89,8 +89,6 @@ dropout stream.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .tensor import DEFAULT_DTYPE, RngStream, Tensor, glorot_uniform, in_threads, shares
@@ -324,8 +322,8 @@ class MaxPool(Layer):
 
     Window offsets, and the argmax that indexes them, run in
     ``np.ndindex(*window)`` order.  The argmax is the smallest unsigned
-    type that holds it: uint8 up to 256 cells per window.  Backward writes
-    each segment's gradient straight to its argmax cells of a zeroed ``dx``.
+    type that holds it: uint8 up to 256 cells per window.  Backward, as the
+    fused block's does, writes each segment's gradient through ``_scatter``.
     """
 
     def __init__(self, window, name: str = "pool"):
@@ -379,38 +377,36 @@ class MaxPool(Layer):
         self._pool(views, out, argmax)
         return self._keep(mode, out, argmax, x.shape)
 
-    def _cells(self, in_shape):
+    def _cells(self, in_shape) -> tuple[Tensor, Tensor]:
         """Per window of a segment, the flat index in the segment of its first
-        cell, and per window offset the distance from it: int32 unless a
-        segment has 2**31 cells."""
+        cell, and per window offset the distance from it."""
         seg = in_shape[1:]
-        index = np.int32 if math.prod(seg) < 2**31 else np.intp
         first = np.ravel_multi_index(np.ix_(*(
-            np.arange(0, s, w) for s, w in zip(seg, (1,) + self.window))), seg).astype(index)
+            np.arange(0, s, w) for s, w in zip(seg, (1,) + self.window))), seg)
         offset = np.ravel_multi_index(
-            (0,) + tuple(np.indices(self.window).reshape(len(self.window), -1)),
-            seg).astype(index)
+            (0,) + tuple(np.indices(self.window).reshape(len(self.window), -1)), seg)
         return first, offset
 
     @staticmethod
-    def _argmax_cells(argmax: Tensor, first: Tensor, offset: Tensor, out: Tensor,
-                      index: Tensor) -> Tensor:
-        """One segment's argmax cells, flat indices as ``_cells`` gives them,
-        into ``out``; ``index``, an intp array of the same shape, is the
-        scratch ``np.take`` would otherwise allocate."""
+    def _scatter(up: Tensor, argmax: Tensor, cells, out: Tensor, index, cell) -> Tensor:
+        """One segment's gradient ``up`` at its ``argmax`` cells of ``out``,
+        zeroed first, given ``cells`` from ``_cells``; ``index`` and ``cell``
+        are intp scratches shaped as ``up`` for ``np.take``'s index and output."""
+        first, offset = cells
+        out.fill(0)
         np.copyto(index, argmax)
-        np.take(offset, index, out=out, mode="clip")  # "raise" would buffer ``out``
-        out += first
+        np.take(offset, index, out=cell, mode="clip")  # "raise" would buffer ``cell``
+        cell += first
+        out.reshape(-1)[cell.reshape(-1)] = up.reshape(-1)
         return out
 
     def backward(self, upstream: Tensor) -> Tensor:
         argmax, in_shape = self._kept(upstream)
-        first, offset = self._cells(in_shape)
-        cell, index = np.empty_like(first), np.empty(first.shape, dtype=np.intp)
-        dx = np.zeros(in_shape, dtype=upstream.dtype)
+        cells = self._cells(in_shape)
+        index, cell = np.empty((2,) + argmax.shape[1:], dtype=np.intp)
+        dx = np.empty(in_shape, dtype=upstream.dtype)
         for b in range(in_shape[0]):
-            self._argmax_cells(argmax[b], first, offset, cell, index)
-            dx[b].reshape(-1)[cell.reshape(-1)] = upstream[b].reshape(-1)
+            self._scatter(upstream[b], argmax[b], cells, dx[b], index, cell)
         return dx
 
 
@@ -587,33 +583,28 @@ def _block_backward(up: Tensor, conv: Conv, bn: BatchNorm, pool: MaxPool, relu: 
     nor BatchNorm's input gradient ever exists at full resolution.
 
     Pass 1 scatters each segment's pooled gradient to its argmax cells of
-    its thread's zeroed scratch, for BatchNorm's parameter gradients, and
-    keeps the cells.  Pass 2 scatters it again, forms BatchNorm's input gradient in
-    the segment's ``xhat`` and hands it to Conv's backward while it is in
-    cache."""
+    its thread's zeroed scratch, for BatchNorm's parameter gradients.  Pass 2
+    finds the cells again and scatters it again, forms BatchNorm's input
+    gradient in the segment's ``xhat`` and hands it to Conv's backward while
+    it is in cache."""
     up = relu.backward(up)
     argmax, in_shape = pool._kept(up)
     xhat, inv_std = bn._kept(in_shape)
     x, = conv._kept(in_shape)
     g_gamma = np.empty(xhat.shape[:2], dtype=up.dtype)
     g_beta = np.empty_like(g_gamma)
-    first, offset = pool._cells(in_shape)
-    cells = np.empty((in_shape[0],) + first.shape, dtype=first.dtype)
+    cells = pool._cells(in_shape)
     count = xhat.shape[0] * xhat.shape[2]
 
     def scratch():
-        return np.empty(xhat.shape[1:], dtype=up.dtype), np.empty(first.shape, dtype=np.intp)
+        return (np.empty(xhat.shape[1:], dtype=up.dtype),
+                *np.empty((2,) + argmax.shape[1:], dtype=np.intp))
 
     def scattered(b, buffers):
         """Segment b's pooled gradient at its argmax cells of a zeroed scratch."""
-        segment, index = buffers
-        segment.fill(0)
-        np.copyto(index, cells[b])  # an intp index, which numpy would otherwise copy
-        segment.reshape(-1)[index.reshape(-1)] = up[b].reshape(-1)
-        return segment
+        return pool._scatter(up[b], argmax[b], cells, *buffers)
 
     def first_pass(b, buffers):
-        pool._argmax_cells(argmax[b], first, offset, cells[b], buffers[1])
         segment = scattered(b, buffers)
         g_gamma[b] = _rowdot(segment, xhat[b])
         segment.sum(axis=1, out=g_beta[b])

@@ -71,9 +71,6 @@ class TrainConfig:
                               f"got {self.learning_rate}")
         return self
 
-    def to_mapping(self) -> dict:
-        return dataclasses.asdict(self)
-
     def replace(self, **kwargs) -> "TrainConfig":
         return dataclasses.replace(self, **kwargs).validate()
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seizurecnn import cli, training
+from seizurecnn import cli, evaluation, training
 from seizurecnn.data import (CLIP_MAGIC, CLIP_VERSION, _HEADER, Manifest, load_clip,
                              load_split_segments, save_clip)
 from seizurecnn.errors import TrainingDivergedError
@@ -26,6 +26,15 @@ def no_temporary_left(tmp_path_factory):
     """No command, finished or crashed, leaves a staged ``.*.tmp`` behind."""
     yield
     assert list(tmp_path_factory.getbasetemp().rglob(".*.tmp")) == []
+
+
+def _without(dataset_dir, out, split, label) -> Path:
+    """A copy of the dataset's manifest, written to ``out``, that lacks the
+    ``split`` clips labeled ``label``."""
+    manifest = Manifest.load(dataset_dir / "manifest.json")
+    Manifest([r for r in manifest.clips if (r.split, r.label) != (split, label)],
+             manifest.layouts, manifest.base).save(out)
+    return out
 
 
 def _write_fails(argv, capsys, cause) -> None:
@@ -149,11 +158,27 @@ class TestTrain:
         assert "non-finite gradient for dense2.bias" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    def test_unknown_subject(self, dataset_dir, tmp_path):
+    def test_unknown_subject(self, dataset_dir, tmp_path, capsys):
         code = cli.main(["train", "--manifest", str(dataset_dir / "manifest.json"),
                          "--subject", "synth99", "--epochs", "1",
                          "--out", str(tmp_path)])
         assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: no train clips for subject 'synth99'; manifest has ['synth01']"]
+
+    def test_one_class_split_fails_once_before_any_work(self, dataset_dir, tmp_path,
+                                                        monkeypatch, capsys):
+        manifest = _without(dataset_dir, tmp_path / "manifest.json", "train", "preictal")
+        read = []
+        monkeypatch.setattr(Manifest, "load_record", lambda self, r: read.append(r))
+        code = cli.main(["train", "--manifest", str(manifest), "--subject", "synth01",
+                         "--epochs", "1", "--seed", "0..1", "--out", str(tmp_path / "runs")])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: no preictal train clips for subject 'synth01'; "
+            "a labeled split needs both classes"]
+        assert read == []
+        assert not (tmp_path / "runs").exists()
 
     def test_seed_range_trains_each(self, dataset_dir, tmp_path, capsys):
         code = cli.main(["train", "--manifest", str(dataset_dir / "manifest.json"),
@@ -445,6 +470,17 @@ class TestEvaluate:
         for split in ("train", "test"):
             assert cli.main(["evaluate", "--run", str(run_dir), "--split", split]) == 0
             assert json.loads((run_dir / "report.json").read_text())["split"] == split
+
+    def test_one_class_split_rejected_before_scoring(self, run_dir, dataset_dir, tmp_path,
+                                                     monkeypatch, capsys):
+        manifest = _without(dataset_dir, tmp_path / "manifest.json", "test", "interictal")
+        scored = []
+        monkeypatch.setattr(evaluation, "score_clip", lambda *a: scored.append(a))
+        code = cli.main(["evaluate", "--run", str(run_dir), "--manifest", str(manifest)])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: no interictal test clips"), err
+        assert scored == []
 
     def test_layout_change_detected(self, run_dir, dataset_dir):
         layout_path = dataset_dir / "layouts" / "synth01.json"

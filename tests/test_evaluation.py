@@ -282,20 +282,20 @@ class TestAggregateRuns:
         assert agg.median == pytest.approx(0.55, abs=1e-15)
         assert agg.q1 == pytest.approx(0.325, abs=1e-15)
         assert agg.q3 == pytest.approx(0.775, abs=1e-15)
-        assert agg.minimum == 0.1 and agg.maximum == 1.0
+        assert agg.min == 0.1 and agg.max == 1.0
         assert agg.quartile_method == "linear"
 
     def test_single_run(self):
         agg = aggregate_runs([report_with_auc(0.83)])
-        assert (agg.mean, agg.minimum, agg.q1, agg.median, agg.q3, agg.maximum) == \
+        assert (agg.mean, agg.min, agg.q1, agg.median, agg.q3, agg.max) == \
             (0.83,) * 6
 
     def test_order_statistics_permutation_invariant(self):
         values = [0.4, 0.9, 0.1, 0.7, 0.6]
         a = aggregate_runs([report_with_auc(v) for v in values])
         b = aggregate_runs([report_with_auc(v) for v in reversed(values)])
-        assert (a.minimum, a.q1, a.median, a.q3, a.maximum) == \
-            (b.minimum, b.q1, b.median, b.q3, b.maximum)
+        assert (a.min, a.q1, a.median, a.q3, a.max) == \
+            (b.min, b.q1, b.median, b.q3, b.max)
         assert a.mean == pytest.approx(b.mean, rel=1e-15)
 
     def test_mixed_groups_rejected(self):
