@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ClipFormatError, ConfigError, DataError, ManifestError
 from .tensor import (FLOAT32, RngStream, Tensor, check_fields, in_threads, load_json,
-                     save_json, seeded_rng)
+                     one_blas_thread, save_json, seeded_rng)
 from .topologies import N_CHANNELS, SEGMENT_SAMPLES, ElectrodeLayout
 
 INGEST_RATE_HZ = 400.0
@@ -265,8 +265,10 @@ def cook(clip: Clip) -> Clip:
 
 
 def preprocess_clip(clip: Clip) -> SegmentBatch:
-    """cook -> segment."""
-    return segment(cook(clip))
+    """cook -> segment, with OpenBLAS on one thread for the call, so that
+    ``decimate`` shares the channels over every core."""
+    with one_blas_thread():
+        return segment(cook(clip))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 from .data import LABEL_CODES, SPLITS, Clip, Manifest, SegmentBatch, preprocess_clip
 from .errors import DataError
 from .layers import INFER, Network
-from .tensor import check_fields, load_json, save_json
+from .tensor import check_fields, load_json, one_blas_thread, save_json
 from .topologies import TOPOLOGIES, ElectrodeLayout, reshape_batch
 
 QUARTILE_METHOD = "linear"
@@ -164,11 +164,21 @@ def predict_segments(network: Network, topology: str, batch: SegmentBatch,
                      layout: ElectrodeLayout | None = None) -> np.ndarray:
     """Inference-mode probabilities for a batch of segments, forwarded
     ``INFER_CHUNK`` segments at a time so each layer's output stays small
-    enough to fit in cache."""
+    enough to fit in cache.
+
+    OpenBLAS runs one thread for the call, so that a ``Network`` shares the
+    chunks over every core (``Network.forward_chunks``); any other scorer's
+    ``forward`` is called once per chunk. Chunks stay at 4 on any core
+    count: ``dense1``'s GEMM takes a different OpenBLAS path by its row
+    count, so its bits follow the chunk length."""
     x = reshape_batch(batch.segments, topology, layout)
-    parts = [network.forward(x[i:i + INFER_CHUNK], INFER)[:, 0]
-             for i in range(0, x.shape[0], INFER_CHUNK)]
-    return np.concatenate(parts).astype(np.float64)
+    with one_blas_thread():
+        if isinstance(network, Network):
+            out = network.forward_chunks(x, INFER_CHUNK)
+        else:
+            out = np.concatenate([network.forward(x[i:i + INFER_CHUNK], INFER)
+                                  for i in range(0, x.shape[0], INFER_CHUNK)])
+    return out[:, 0].astype(np.float64)
 
 
 def score_clip(network: Network, topology: str, clip: Clip,

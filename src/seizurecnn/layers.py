@@ -50,7 +50,21 @@ its raw minimum where ``scale < 0``.  Those maps' kernel rows are negated
 before the GEMM, which then returns exactly the negated sums, since
 rounding to nearest is symmetric in sign; the running maximum is negated
 back on the pooled tensor.  A zero whose sign differs on the way is made
-``+0`` by the ReLU, as in the layers.
+``+0`` by the ReLU, as in the layers; the block runs it in place.
+
+``Network.forward_chunks`` forwards a batch in INFER a chunk at a time,
+with the bits of one ``forward`` per chunk.  ``tensor.in_threads`` shares
+the chunks; on its share's thread a chunk runs the trunk, the leading
+BatchNorm and block steps, through their private INFER paths, and the
+calling thread then runs each chunk through the head's ``forward``
+methods, so no other thread calls a layer's ``forward``.  The calling
+thread makes each share's buffers (``_infer_buffers``), reused by every
+chunk and block of the share: one holds a segment's GEMM output before
+pooling followed by its columns, two hold the step outputs, which
+alternate from step to step.  So a worker thread allocates nothing larger
+than a block's kernel: glibc keeps what a worker frees in that thread's
+own arena, where it would stay resident beside the calling thread's
+heap.  A call of one chunk shares the segments of each block instead.
 
 Every per-segment step (Conv's forward and backward, BatchNorm's batch
 sums, the TRAIN and INFER blocks and both backward passes) is a body that
@@ -59,8 +73,8 @@ says what happens to segment b, given its thread's scratch;
 threads as ``tensor.shares`` cuts them: contiguous shares, one per usable
 core up to four, each thread with its own scratch from the calling
 thread.  It does so only while OpenBLAS runs one thread, as every command
-makes it; otherwise every segment runs on the calling thread.  The bits
-cannot change with the thread count.  Each segment's results go to rows
+and ``predict_segments`` make it; otherwise every segment runs on the
+calling thread.  The bits cannot change with the thread count.  Each segment's results go to rows
 of their own (``out[b]`` with its bias, the argmax, BatchNorm's sums, the
 ``g_bias`` rows, ``dx[b]``), reduced over the batch afterwards in batch
 order, and the kernel gradient adds the segments' terms in batch order:
@@ -89,6 +103,8 @@ dropout stream.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .tensor import DEFAULT_DTYPE, RngStream, Tensor, glorot_uniform, in_threads, shares
@@ -101,6 +117,13 @@ MAX_KERNEL_EXTENT = 5
 
 def _as_tuple(value) -> tuple[int, ...]:
     return tuple(int(v) for v in np.atleast_1d(value))
+
+
+def _take(flat: Tensor | None, shape, dtype=None) -> Tensor:
+    """An array of ``shape``: the start of ``flat``, or new where ``flat`` is None."""
+    if flat is None:
+        return np.empty(shape, dtype=dtype)
+    return flat[:int(np.prod(shape))].reshape(shape)
 
 
 def _rowdot(a: Tensor, b: Tensor) -> Tensor:
@@ -234,10 +257,22 @@ class Conv(Layer):
                     + (slice(0, -k) if k < 0 else slice(max(0, s - k), s),)
                     for axis, (k, s) in enumerate(shifts) if k])
 
-    def _scratch(self, x: Tensor) -> Tensor:
-        """One segment's zeroed column scratch, (1, maps_in, taps, *spatial):
-        its padding cells must hold zeros whenever ``_columns`` fills it."""
-        return np.zeros((1, self.maps_in, self._taps) + x.shape[2:], dtype=x.dtype)
+    def _scratch(self, x: Tensor, flat: Tensor | None = None, taps=()) -> Tensor:
+        """One segment's column scratch, (1, maps_in, taps, *spatial), whose
+        padding cells hold zeros, as ``_columns`` needs: new, or the start of
+        ``flat`` with the padding cells of ``taps`` zeroed."""
+        shape = (1, self.maps_in, self._taps) + x.shape[2:]
+        if flat is None:
+            return np.zeros(shape, dtype=x.dtype)
+        return self._zero_padding(_take(flat, shape), taps)
+
+    @staticmethod
+    def _zero_padding(cols: Tensor, taps: list) -> Tensor:
+        """``cols`` with the padding cells of every tap of ``taps`` zeroed."""
+        for t, (_, _, padding) in enumerate(taps):
+            for slab in padding:
+                cols[:, :, t][slab] = 0
+        return cols
 
     def _columns(self, x: Tensor, b: int, cols: Tensor, taps: list) -> Tensor:
         """Segment b of ``x`` as columns, (maps_in * taps, cells), a view of
@@ -304,10 +339,9 @@ class Conv(Layer):
             # the columns' gradient takes the columns' place, and their
             # padding cells, which it writes too, are zeroed again
             np.matmul(kernel_t, up, out=c)
-            for t, (out, src, padding) in enumerate(taps):
+            for t, (out, src, _) in enumerate(taps):
                 dx[b:b + 1][src] += cols[:, :, t][out]
-                for slab in padding:
-                    cols[:, :, t][slab] = 0
+            self._zero_padding(cols, taps)
 
         in_threads(x.shape[0], work, buffers)
         for term in later:  # in batch order
@@ -480,13 +514,19 @@ class BatchNorm(Layer):
         scale = self.gamma * (1.0 / np.sqrt(self.running_var + self.epsilon))
         return scale, self.beta - self.running_mean * scale
 
+    def _infer(self, x: Tensor, out: Tensor | None = None) -> Tensor:
+        """The INFER output for ``x`` in ``out`` (new when None): the folded
+        scale, then the shift."""
+        scale, shift = self._folded()
+        out3 = np.multiply(self._maps_view(x), scale[:, None],
+                           out=None if out is None else self._maps_view(out))
+        out3 += shift[:, None]
+        return out3.reshape(x.shape)
+
     def forward(self, x: Tensor, mode: str = TRAIN, rng: RngStream | None = None) -> Tensor:
-        x3 = self._maps_view(x)
         if mode != TRAIN:
-            scale, shift = self._folded()
-            out = x3 * scale[:, None]
-            out += shift[:, None]
-            return self._keep(mode, out.reshape(x.shape))
+            return self._keep(mode, self._infer(x))
+        x3 = self._maps_view(x)
         xhat, inv_std = self._centre(x3)
         xhat *= inv_std[:, None]
         return self._keep(mode, self._affine(xhat).reshape(x.shape), xhat, inv_std)
@@ -543,25 +583,34 @@ def _train_block(x: Tensor, bn: BatchNorm, pool: MaxPool, relu: ReLU) -> Tensor:
 
 
 def _conv_block(x: Tensor, mode: str, conv: Conv, bn: BatchNorm, pool: MaxPool,
-                relu: ReLU) -> Tensor:
+                relu: ReLU, reuse: tuple | None = None) -> Tensor:
     """The forward of ``conv -> bn -> pool -> relu`` over ``x``, which it
     never writes: the bits of the four forwards, and in TRAIN their caches.
-    INFER pools before the bias and BatchNorm's affine (see the module notes)."""
+    INFER pools before the bias and BatchNorm's affine (see the module notes)
+    and runs the ReLU in place. Given ``reuse``, two flat buffers (see
+    ``_infer_buffers``), INFER writes its output to the start of the second;
+    the first share of its segments holds one segment's GEMM output and then
+    its columns in the first, a later share makes its own."""
     if mode == TRAIN:
         # Conv.forward returns a fresh array, so the block may overwrite it
         return _train_block(conv.forward(x, TRAIN), bn, pool, relu)
     conv._check(x)
     shape = (1, conv.maps_out) + x.shape[2:]
-    out = np.empty(x.shape[:1] + pool._pooled(shape)[1:], dtype=x.dtype)
+    flat, out_flat = reuse or (None, None)
+    out = _take(out_flat, x.shape[:1] + pool._pooled(shape)[1:], x.dtype)
     pooled = bn._maps_view(out)
     scale, shift = bn._folded()
     sign = np.where(scale < 0, x.dtype.type(-1), x.dtype.type(1))[:, None]
     kernel = conv.kernel.reshape(conv.maps_out, -1) * sign
     taps = list(conv._taps_at(x.shape[2:]))
+    spare = [flat]
 
     def scratch():
-        segment = np.empty(shape, dtype=x.dtype)
-        return conv._scratch(x), segment.reshape(conv.maps_out, -1), pool._views(segment)
+        flat = spare.pop() if spare else None
+        segment = _take(flat, shape, x.dtype)
+        cols = None if flat is None else flat[segment.size:]
+        return (conv._scratch(x, cols, taps), segment.reshape(conv.maps_out, -1),
+                pool._views(segment))
 
     def work(b, buffers):
         cols, segment, views = buffers
@@ -573,8 +622,9 @@ def _conv_block(x: Tensor, mode: str, conv: Conv, bn: BatchNorm, pool: MaxPool,
     pooled += conv.bias[:, None]
     pooled *= scale[:, None]
     pooled += shift[:, None]
-    conv._cache = bn._cache = pool._cache = None  # as an INFER forward of each
-    return relu.forward(out, mode)
+    np.maximum(out, out.dtype.type(0), out=out)
+    conv._cache = bn._cache = pool._cache = relu._cache = None  # as an INFER forward of each
+    return out
 
 
 def _block_backward(up: Tensor, conv: Conv, bn: BatchNorm, pool: MaxPool, relu: ReLU) -> Tensor:
@@ -704,6 +754,27 @@ class Sigmoid(Layer):
         return upstream * out * (1.0 - out)
 
 
+def _infer_buffers(trunk: list, shape, dtype) -> tuple:
+    """Flat buffers for an INFER chunk of ``shape`` through the ``trunk``
+    steps, each as long as its longest use: one for a block's GEMM output
+    of one segment followed by that segment's columns, and two for the step
+    outputs, which alternate from step to step."""
+    block = out = 0
+    for step in trunk:
+        if len(step) > 1:
+            conv, _, pool, _ = step
+            cells = int(np.prod(shape[2:]))
+            block = max(block, (conv.maps_out + conv.maps_in * conv._taps) * cells)
+            shape = pool._pooled((shape[0], conv.maps_out) + shape[2:])
+        out = max(out, int(np.prod(shape)))
+    return tuple(np.empty(n, dtype=dtype) for n in (block, out, out))
+
+
+def _step(step: tuple, x: Tensor, mode: str, rng: RngStream | None = None) -> Tensor:
+    """The forward of one step of a ``Network``: a block, or one layer."""
+    return _conv_block(x, mode, *step) if len(step) > 1 else step[0].forward(x, mode, rng)
+
+
 class Network:
     """Ordered layer stack with flat, name-prefixed parameter access.
 
@@ -730,8 +801,12 @@ class Network:
                 step = step[:1]
             self._steps.append(step)
             i += len(step)
+        # the leading block and BatchNorm steps, which forward_chunks runs
+        # off the calling thread
+        self._trunk = len(list(itertools.takewhile(
+            lambda step: len(step) > 1 or isinstance(step[0], BatchNorm), self._steps)))
 
-    def forward(self, x: Tensor, mode: str = TRAIN, rng: RngStream | None = None) -> Tensor:
+    def _input(self, x) -> Tensor:
         x = np.asarray(x, dtype=self.dtype)
         if self.input_grid is not None:
             if tuple(x.shape[1:]) != self.input_grid:
@@ -739,9 +814,48 @@ class Network:
                     f"expected input shape (batch, {', '.join(map(str, self.input_grid))}), "
                     f"got {x.shape}")
             x = x.reshape((x.shape[0], 1) + self.input_grid)
-        for step in self._steps:
-            x = _conv_block(x, mode, *step) if len(step) > 1 else step[0].forward(x, mode, rng)
         return x
+
+    def forward(self, x: Tensor, mode: str = TRAIN, rng: RngStream | None = None) -> Tensor:
+        x = self._input(x)
+        for step in self._steps:
+            x = _step(step, x, mode, rng)
+        return x
+
+    def forward_chunks(self, x: Tensor, size: int) -> Tensor:
+        """``forward(x[i:i + size], INFER)`` for each chunk of ``x``, stacked
+        in order: the bits of those calls.
+
+        ``in_threads`` shares the chunks; each runs its trunk, the leading
+        BatchNorm and block steps, on its share's thread, through their
+        private INFER paths, in buffers its share got from the calling
+        thread (``_infer_buffers``). The head, every later step, then runs
+        each chunk's trunk output through the layers' ``forward`` on the
+        calling thread, so no other thread calls a layer's ``forward``."""
+        x = self._input(x)
+        trunk, head = self._steps[:self._trunk], self._steps[self._trunk:]
+        starts = range(0, x.shape[0], size)
+        outs = [x[lo:lo + size] for lo in starts]
+
+        def work(i, buffers):
+            y = outs[i]
+            for k, step in enumerate(trunk):
+                out = buffers[1 + k % 2]  # the one that does not hold y
+                if len(step) > 1:
+                    y = _conv_block(y, INFER, *step, reuse=(buffers[0], out))
+                else:
+                    y = step[0]._infer(y, _take(out, y.shape))
+                    step[0]._cache = None  # as its INFER forward
+            outs[i] = y.copy()  # off the buffers the share's next chunk reuses
+
+        if trunk:
+            shape = (min(size, x.shape[0]),) + x.shape[1:]
+            in_threads(len(starts), work, lambda: _infer_buffers(trunk, shape, x.dtype))
+        for i, y in enumerate(outs):
+            for step in head:
+                y = _step(step, y, INFER)
+            outs[i] = y
+        return np.concatenate(outs)
 
     def backward(self, upstream: Tensor) -> Tensor:
         up = np.asarray(upstream, dtype=self.dtype)

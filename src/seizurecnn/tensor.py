@@ -21,10 +21,13 @@ one function, ``check_fields``.
 
 ``in_threads`` runs a per-item body over a call's items, cut by ``shares``
 into contiguous shares, one per core the process may run on, but only
-while numpy's OpenBLAS runs one thread (``one_blas_thread``, as every
-command sets it): BLAS threads beside ours would compete for the same
-cores, and a float64 dot's bits follow the BLAS thread count. So a library
-caller that leaves BLAS as it is runs on its own thread alone. How items
+while numpy's OpenBLAS runs one thread (``one_blas_thread``): BLAS threads
+beside ours would compete for the same cores, and a float64 dot's bits
+follow the BLAS thread count. Every command holds one BLAS thread, and so
+do the library entry points ``preprocess_clip`` and ``predict_segments``;
+elsewhere a library caller that leaves BLAS as it is runs on its own
+thread alone. Calls nest: inside a share of a call of several shares, an
+``in_threads`` call runs all its items on that share's thread. How items
 are cut into shares is known here alone; a caller says only what happens
 to item ``i``.
 """
@@ -36,6 +39,7 @@ import functools
 import hashlib
 import json
 import os
+import threading
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Mapping
@@ -218,21 +222,36 @@ def blas_threads() -> int | None:
     return None if blas is None else blas[0]()
 
 
+#: how many ``one_blas_thread`` bodies are running, and the count the first saved
+_holders = 0
+_saved = None
+_holders_lock = threading.Lock()
+
+
 @contextlib.contextmanager
 def one_blas_thread():
     """Run the body with numpy's OpenBLAS on one thread, then restore its
-    earlier count, also when the body raises; a no-op where it cannot be set."""
+    earlier count, also when the body raises; a no-op where it cannot be set.
+    Bodies may overlap, on any threads: the first to enter saves the count
+    and sets one thread, the last to leave restores the saved count."""
+    global _holders, _saved
     blas = _openblas()
     if blas is None:
         yield
         return
     get, set_ = blas
-    before = get()
-    set_(1)
+    with _holders_lock:
+        if _holders == 0:
+            _saved = get()
+            set_(1)
+        _holders += 1
     try:
         yield
     finally:
-        set_(before)
+        with _holders_lock:
+            _holders -= 1
+            if _holders == 0:
+                set_(_saved)
 
 
 def shares(n: int) -> list[range]:
@@ -246,17 +265,23 @@ def shares(n: int) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
+#: ``inside`` is true on a thread while it runs a share of a call of several
+_share = threading.local()
+
+
 def in_threads(n: int, work: Callable, scratch: Callable = tuple) -> None:
     """Call ``work(i, buffers)`` for each ``i`` of ``range(n)``, each share
     of ``shares(n)`` on a thread of its own, its items in order: the
     calling thread takes the first share, a pool of one thread fewer than
     there are shares the others. Every thread has ended on return, which
-    raises what an item raised.
+    raises what an item raised. Called inside a share of a call of several
+    shares, it runs every item on that share's thread, as one share.
 
     ``scratch()`` makes each share's ``buffers``, which all its items get;
     it runs here, in the calling thread, so no worker allocates a large
-    array. Items of different shares must not write the same memory."""
-    parts = shares(n)
+    array, unless a nested call's ``scratch`` does: it runs on the share's
+    thread. Items of different shares must not write the same memory."""
+    parts = [range(n)] if getattr(_share, "inside", False) else shares(n)
     buffers = [scratch() for _ in parts]
 
     def walk(part: range, buffers) -> None:
@@ -266,7 +291,15 @@ def in_threads(n: int, work: Callable, scratch: Callable = tuple) -> None:
     if len(parts) == 1:
         walk(parts[0], buffers[0])
         return
+
+    def share(part: range, buffers) -> None:
+        _share.inside = True
+        try:
+            walk(part, buffers)
+        finally:
+            _share.inside = False
+
     with ThreadPoolExecutor(len(parts) - 1) as pool:
-        rest = pool.map(walk, parts[1:], buffers[1:])
-        walk(parts[0], buffers[0])
+        rest = pool.map(share, parts[1:], buffers[1:])
+        share(parts[0], buffers[0])
         list(rest)

@@ -180,7 +180,8 @@ def reshape_batch(segments: Tensor, topology: str,
     """Arrange (n, 16, 3000) segments onto the topology's input grid.
 
     Values are only permuted, never altered; nv1x16 returns the input
-    unchanged whatever the layout.
+    unchanged whatever the layout, and a layout that keeps the channel
+    order, as the default one does, gives a view of the input.
     """
     segments = np.asarray(segments)
     if segments.ndim != 3 or segments.shape[1:] != (N_CHANNELS, SEGMENT_SAMPLES):
@@ -190,6 +191,8 @@ def reshape_batch(segments: Tensor, topology: str,
     order = channel_order(topology, layout)
     if order is None:
         return segments
+    if (order == np.arange(N_CHANNELS)).all():
+        return segments.reshape((segments.shape[0],) + grid)
     return segments[:, order, :].reshape((segments.shape[0],) + grid)
 
 

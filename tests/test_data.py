@@ -351,6 +351,46 @@ class TestPreprocessClip:
         with pytest.raises(DataError):
             preprocess_clip(noise_clip(rate=500.0))
 
+    def test_same_bytes_at_one_and_two_blas_threads(self, pretend_cores):
+        blas = tensor._openblas()
+        if blas is None:
+            pytest.skip("numpy's OpenBLAS thread count cannot be set here")
+        clip = noise_clip(240000)
+        expected = segment(znormalize(Clip(one_channel_loop(clip), 200.0, clip.label)))
+        pretend_cores(2)
+        before = blas[0]()
+        try:
+            for n in (1, 2):
+                blas[1](n)
+                assert preprocess_clip(clip).segments.tobytes() == \
+                    expected.segments.tobytes(), n
+                assert blas[0]() == n
+        finally:
+            blas[1](before)
+
+    def test_holds_one_blas_thread_and_restores_the_count(self, monkeypatch):
+        import seizurecnn.data as data
+        blas = tensor._openblas()
+        if blas is None:
+            pytest.skip("numpy's OpenBLAS thread count cannot be set here")
+        seen = []
+
+        def spy(clip):
+            seen.append(tensor.blas_threads())
+            return segment(clip)
+
+        monkeypatch.setattr(data, "segment", spy)
+        before = blas[0]()
+        blas[1](2)
+        try:
+            preprocess_clip(noise_clip(6000))
+            assert seen == [1] and blas[0]() == 2
+            with pytest.raises(DataError):
+                preprocess_clip(noise_clip(rate=500.0))
+            assert blas[0]() == 2
+        finally:
+            blas[1](before)
+
     def test_peak_memory_below_twice_input(self):
         clip = noise_clip(240000)
         tracemalloc.start()

@@ -1,20 +1,25 @@
+import contextlib
 import dataclasses
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from seizurecnn.data import generate_synthetic
 from seizurecnn.errors import DataError
-from seizurecnn.evaluation import (ClipPrediction, EvaluationReport,
+from seizurecnn import layers, tensor
+from seizurecnn.evaluation import (INFER_CHUNK, ClipPrediction, EvaluationReport,
                                    RunAggregate, aggregate_clip,
                                    aggregate_runs, evaluate_subject,
                                    predict_segments, roc_auc, roc_curve)
-from seizurecnn.layers import (INFER, Conv, Dense, Flatten, MaxPool, Network,
-                               ReLU, Sigmoid)
+from seizurecnn.layers import (INFER, BatchNorm, Conv, Dense, Dropout, Flatten, MaxPool,
+                               Network, ReLU, Sigmoid)
 from seizurecnn.tensor import seeded_rng
-from seizurecnn.topologies import (TOPOLOGIES, ElectrodeLayout, build_topology,
-                                   reshape_batch)
+from seizurecnn.topologies import (TOPOLOGIES, ElectrodeLayout, _block_geometry,
+                                   build_topology, input_grid, reshape_batch)
+from test_conv_columns import SLACK, traced_peak
 from seizurecnn.data import SegmentBatch
 
 
@@ -39,6 +44,50 @@ def toy_network(seed=0):
         Dense(128, 1, init.split("dense"), name="dense", dtype=np.float32),
         Sigmoid(name="out"),
     ], input_grid=(16, 3000), dtype=np.float32)
+
+
+def topology_network(topology, dtype):
+    """A topology's network in ``dtype``, its BatchNorms away from the identity."""
+    _, net = build_topology(topology, ElectrodeLayout.default(), seeded_rng(2).split("model"))
+    rng = seeded_rng(5)
+    for layer in net.layers:
+        if isinstance(layer, BatchNorm):
+            layer.gamma[...] = rng.normal(size=layer.maps)
+            layer.running_mean[...] = rng.normal(size=layer.maps)
+            layer.running_var[...] = rng.uniform(0.5, 2.0, size=layer.maps)
+        for key, value in layer.state().items():
+            setattr(layer, key, value.astype(dtype))
+    net.dtype = dtype
+    return net
+
+
+def share_bytes(topology, chunk, itemsize):
+    """What one share holds in INFER: its buffers, which are one segment's
+    GEMM output and columns at the block where they are largest and two
+    chunk outputs of the step whose output is largest, and the largest
+    kernel with the signs of BatchNorm's scale."""
+    spatial, maps_in = np.array(input_grid(topology)), 1
+    block, out, kernel_size = 0, chunk * spatial.prod(), 0  # bn_in's output
+    for kernel, pool, maps in _block_geometry(topology):
+        block = max(block, (maps + maps_in * np.prod(kernel)) * spatial.prod())
+        kernel_size = max(kernel_size, maps * maps_in * np.prod(kernel))
+        spatial, maps_in = spatial // np.array(pool), maps
+        out = max(out, chunk * maps * spatial.prod())
+    return int(block + 2 * out + kernel_size) * itemsize
+
+
+@contextlib.contextmanager
+def blas_threads_at(n):
+    """OpenBLAS on ``n`` threads for the body, its count restored after."""
+    blas = tensor._openblas()
+    if blas is None:
+        pytest.skip("numpy's OpenBLAS thread count cannot be set here")
+    before = blas[0]()
+    blas[1](n)
+    try:
+        yield
+    finally:
+        blas[1](before)
 
 
 class BandpowerNet:
@@ -157,6 +206,109 @@ class TestPredictSegments:
         probs = predict_segments(toy_network(), "nv1x16", self.batch(5))
         assert probs.shape == (5,)
         assert np.all((probs > 0) & (probs < 1))
+
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64), ids=lambda d: np.dtype(d).name)
+    @pytest.mark.parametrize("n", (1, 4, 5, 41))
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_bytes_of_a_one_core_loop_over_chunks(self, topology, n, dtype, pretend_cores):
+        net = topology_network(topology, dtype)
+        batch = self.batch(n, seed=n)
+        x = reshape_batch(batch.segments, topology, ElectrodeLayout.default())
+        pretend_cores(1)
+        with tensor.one_blas_thread():
+            expected = np.concatenate([net.forward(x[i:i + INFER_CHUNK], INFER)[:, 0]
+                                       for i in range(0, n, INFER_CHUNK)])
+        expected = expected.astype(np.float64).tobytes()
+        for blas in (1, 2):
+            for cores in (1, 2, 4):
+                pretend_cores(cores)
+                with blas_threads_at(blas):
+                    probs = predict_segments(net, topology, batch, ElectrodeLayout.default())
+                    assert tensor.blas_threads() == blas
+                assert probs.tobytes() == expected, (blas, cores)
+
+    def test_repeated_threaded_calls_agree(self, pretend_cores, one_blas_thread):
+        net = topology_network("nv2x2x4", np.float32)
+        batch = self.batch(13, seed=6)
+        pretend_cores(1)
+        expected = predict_segments(net, "nv2x2x4", batch, ElectrodeLayout.default()).tobytes()
+        pretend_cores(4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                probs = predict_segments(net, "nv2x2x4", batch, ElectrodeLayout.default())
+                assert probs.tobytes() == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_stand_in_scorer_is_called_once_per_chunk(self):
+        calls = []
+
+        class Counted(BandpowerNet):
+            def forward(self, x, mode=None, rng=None):
+                calls.append((len(x), mode))
+                return super().forward(x, mode, rng)
+
+        batch = self.batch(9)
+        probs = predict_segments(Counted(), "nv1x16", batch)
+        assert calls == [(4, INFER), (4, INFER), (1, INFER)]
+        assert probs.tobytes() == BandpowerNet().forward(batch.segments)[:, 0].tobytes()
+
+    def test_restores_the_blas_count_also_when_raising(self):
+        seen = []
+
+        class Failing:
+            def forward(self, x, mode=None, rng=None):
+                seen.append(tensor.blas_threads())
+                raise KeyError("scorer")
+
+        _, net = build_topology("nv4x4", ElectrodeLayout.default(), seeded_rng(2))
+        with blas_threads_at(2):
+            predict_segments(toy_network(), "nv1x16", self.batch(5))
+            assert tensor.blas_threads() == 2
+            with pytest.raises(KeyError):
+                predict_segments(Failing(), "nv1x16", self.batch(5))
+            assert seen == [1] and tensor.blas_threads() == 2
+            with pytest.raises(ValueError, match="expected input shape"):
+                predict_segments(net, "nv1x16", self.batch(5))  # an nv4x4 network
+            assert tensor.blas_threads() == 2
+
+    def test_only_the_calling_thread_calls_a_layer_forward(self, monkeypatch, pretend_cores,
+                                                           shared_path):
+        # so a wrapper around the layers' methods, as a tracer installs,
+        # sees its calls open and close in order on one thread
+        pretend_cores(2)
+        callers = set()
+        for cls in (BatchNorm, Conv, Dense, Dropout, Flatten, MaxPool, ReLU, Sigmoid):
+            original = cls.forward
+            monkeypatch.setattr(cls, "forward", lambda self, *a, _f=original, **k: (
+                callers.add(threading.get_ident()), _f(self, *a, **k))[1])
+        workers = set()
+        original_block = layers._conv_block
+        monkeypatch.setattr(layers, "_conv_block", lambda *a, **k: (
+            workers.add(threading.get_ident()), original_block(*a, **k))[1])
+        net = topology_network("nv4x4", np.float32)
+        predict_segments(net, "nv4x4", self.batch(41), ElectrodeLayout.default())
+        assert callers == {threading.get_ident()}
+        assert len(workers) == 2
+
+    @pytest.mark.parametrize("cores", (1, 2))
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_peak_is_a_share_of_buffers_per_thread(self, topology, cores, pretend_cores,
+                                                   one_blas_thread):
+        pretend_cores(cores)
+        net = topology_network(topology, np.float32)
+        batch = self.batch(41)
+        _, peak = traced_peak(
+            lambda: predict_segments(net, topology, batch, ElectrodeLayout.default()))
+        held = min(cores, -(-len(batch) // INFER_CHUNK)) * share_bytes(topology, INFER_CHUNK, 4)
+        # beside what the shares hold: every chunk's trunk output, which the
+        # calling thread then runs through the head
+        flat = next(layer for layer in net.layers if isinstance(layer, Dense)).n_in
+        assert peak <= held + len(batch) * flat * 4 + SLACK
+        # a whole-clip copy of the input alone would be the batch's segments
+        assert peak < held + batch.segments.nbytes
 
 
 @pytest.fixture(scope="module")

@@ -198,14 +198,15 @@ def check_block_backward_peak(topology, threads):
     columns = conv.maps_in * conv._taps * cells * 4
     pooled = out.size // batch
     intp = np.dtype(np.intp).itemsize
-    # the ReLU's pooled gradient, every segment's int32 argmax cells, and
-    # numpy's intp copies of one segment's indices while they index
-    pooled_arrays = up.nbytes + batch * pooled * 4 + 2 * pooled * intp
+    # the ReLU's pooled gradient, each window's first cell, and one segment's
+    # two intp scratches for the argmax and its cells
+    pooled_arrays = up.nbytes + 3 * pooled * intp
     bound = dx.nbytes + segment + 2 * columns + pooled_arrays + SLACK
-    # each further thread: its segment, columns, intp index and kernel-gradient
-    # term; and the kernel-gradient terms of every share but the first
+    # each further thread: its segment, columns, two intp scratches and
+    # kernel-gradient term; and the kernel-gradient terms of every share but
+    # the first
     kernel = conv.kernel.nbytes
-    bound += (threads - 1) * (segment + columns + pooled * intp + kernel)
+    bound += (threads - 1) * (segment + columns + 2 * pooled * intp + kernel)
     bound += (batch - batch // threads) * kernel if threads > 1 else 0
     assert peak <= bound
     # the pool's input gradient at full resolution alone would be the batch's segments

@@ -286,3 +286,76 @@ class TestThreads:
             with tensor.one_blas_thread():
                 raise KeyError("x")
         assert tensor.blas_threads() == before
+
+    def test_overlapping_holders_restore_the_count(self):
+        # A saves the count and sets one thread, B enters while A holds it,
+        # A leaves while B still runs, then B leaves
+        blas = tensor._openblas()
+        if blas is None:
+            pytest.skip("numpy's OpenBLAS thread count cannot be set here")
+        get, set_ = blas
+        original = get()
+        set_(2)
+        try:
+            a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+            seen = {}
+
+            def a():
+                with tensor.one_blas_thread():
+                    a_in.set()
+                    b_in.wait(10)
+                a_out.set()
+
+            def b():
+                a_in.wait(10)
+                with tensor.one_blas_thread():
+                    b_in.set()
+                    a_out.wait(10)
+                    seen["after A left"] = get()
+
+            threads = [threading.Thread(target=f) for f in (a, b)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(10)
+                assert not t.is_alive()
+            assert seen == {"after A left": 1}
+            assert get() == 2
+        finally:
+            set_(original)
+
+    def test_nested_call_runs_on_its_share_thread(self, pretend_cores, shared_path):
+        pretend_cores(2)
+        runs, made = {}, []
+
+        def inner_scratch():
+            made.append(threading.get_ident())
+            return np.zeros(1)
+
+        def work(i, _):
+            inner = []
+            tensor.in_threads(4, lambda j, buffer: inner.append((j, threading.get_ident(),
+                                                                 id(buffer))),
+                              inner_scratch)
+            runs[i] = (threading.get_ident(), inner)
+
+        before = threading.active_count()
+        tensor.in_threads(4, work)
+        assert threading.active_count() == before
+        assert len({ident for ident, _ in runs.values()}) == 2
+        for ident, inner in runs.values():
+            assert [j for j, _, _ in inner] == [0, 1, 2, 3]
+            assert {(t, buffer) for _, t, buffer in inner} == {(ident, inner[0][2])}
+        # each nested call made its one share's scratch on its own share's thread
+        assert sorted(made) == sorted(ident for ident, _ in runs.values())
+
+    def test_call_of_one_share_leaves_nested_calls_shared(self, pretend_cores, shared_path):
+        pretend_cores(2)
+        threads = []
+
+        def work(i, _):
+            tensor.in_threads(4, lambda j, _: threads.append(threading.get_ident()))
+
+        tensor.in_threads(1, work)
+        assert len(set(threads)) == 2
+        assert threads.count(threading.get_ident()) == 2

@@ -134,6 +134,9 @@ class TestReshape:
                               segs.reshape(3, 4, 4, 3000))
         assert np.array_equal(reshape_batch(segs, "nv2x2x4", layout),
                               segs.reshape(3, 2, 2, 4, 3000))
+        # the channels keep their order, so nothing is copied
+        assert np.shares_memory(reshape_batch(segs, "nv4x4", layout), segs)
+        assert not np.shares_memory(reshape_batch(segs, "nv4x4", shuffled_layout(1)), segs)
 
     @pytest.mark.parametrize("seed", range(50))
     def test_permuted_layout_places_channels(self, seed):
